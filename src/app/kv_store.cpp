@@ -65,11 +65,9 @@ class KvStore final : public AppServerBase {
   }
 
   Value state_get() override {
-    Value entries = Value::map();
-    for (const auto& [key, value] : data_) entries.set(key, value);
     const auto filler_size = property("state_size");
     Value state = Value::map();
-    state.set("entries", std::move(entries));
+    state.set("entries", data_);
     // Pad to the configured state size so checkpoints cost realistic
     // bandwidth (the R dimension of PBR vs LFR in Table 1).
     const auto target = static_cast<std::size_t>(
@@ -86,11 +84,8 @@ class KvStore final : public AppServerBase {
     // ships every key this reset may have changed or removed.
     const auto epoch = mutation_epoch();
     for (const auto& [key, value] : data_) dirty_[key] = epoch;
-    data_.clear();
-    for (const auto& [key, value] : state.at("entries").as_map()) {
-      data_[key] = value;
-      dirty_[key] = epoch;
-    }
+    data_ = state.at("entries").as_map();
+    for (const auto& [key, value] : data_) dirty_[key] = epoch;
   }
 
   // --- Incremental checkpointing -------------------------------------------
@@ -142,7 +137,7 @@ class KvStore final : public AppServerBase {
   }
 
  private:
-  std::map<std::string, Value> data_;
+  ValueMap data_;
   // key -> mutation_epoch() at last write; survives captures, cleared by acks.
   std::map<std::string, std::uint64_t> dirty_;
 };

@@ -115,12 +115,9 @@ Bytes ByteReader::read_bytes() {
 }
 
 std::uint64_t fnv1a(const Bytes& data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto byte : data) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  Fnv1a h;
+  h.add(data.data(), data.size());
+  return h.value();
 }
 
 }  // namespace rcs

@@ -68,4 +68,18 @@ class ByteReader {
 /// FNV-1a digest, used for package integrity checks in the repository.
 [[nodiscard]] std::uint64_t fnv1a(const Bytes& data);
 
+/// Streaming FNV-1a: adding a buffer's bytes in any number of pieces gives
+/// fnv1a() of the whole buffer.
+class Fnv1a {
+ public:
+  void add(std::uint8_t byte) { hash_ = (hash_ ^ byte) * 0x100000001b3ULL; }
+  void add(const std::uint8_t* data, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) add(data[i]);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_{0xcbf29ce484222325ULL};
+};
+
 }  // namespace rcs

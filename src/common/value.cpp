@@ -1,5 +1,7 @@
 #include "rcs/common/value.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <ostream>
 #include <sstream>
 
@@ -73,11 +75,11 @@ ValueMap& Value::as_map() {
   return std::get<ValueMap>(data_);
 }
 
-bool Value::has(const std::string& key) const {
+bool Value::has(std::string_view key) const {
   return is_map() && as_map().contains(key);
 }
 
-const Value& Value::at(const std::string& key) const {
+const Value& Value::at(std::string_view key) const {
   const auto& m = as_map();
   const auto it = m.find(key);
   if (it == m.end()) {
@@ -86,13 +88,13 @@ const Value& Value::at(const std::string& key) const {
   return it->second;
 }
 
-Value Value::get_or(const std::string& key, Value fallback) const {
+Value Value::get_or(std::string_view key, Value fallback) const {
   const auto& m = as_map();
   const auto it = m.find(key);
   return it == m.end() ? std::move(fallback) : it->second;
 }
 
-Value& Value::set(const std::string& key, Value v) {
+Value& Value::set(std::string_view key, Value v) {
   if (is_null()) data_ = ValueMap{};
   as_map()[key] = std::move(v);
   return *this;
@@ -119,42 +121,105 @@ std::size_t Value::size() const {
   type_mismatch(Type::kList);
 }
 
-void Value::encode(ByteWriter& w) const {
-  w.write_u8(static_cast<std::uint8_t>(type()));
-  switch (type()) {
-    case Type::kNull:
+namespace {
+
+/// Feeds a Fnv1a hash the exact byte sequence ByteWriter would append.
+class DigestWriter {
+ public:
+  void write_u8(std::uint8_t v) { hash_.add(v); }
+  void write_i64(std::int64_t v) { write_u64(static_cast<std::uint64_t>(v)); }
+  void write_f64(double v) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    write_u64(bits);
+  }
+  void write_varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      hash_.add(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    hash_.add(static_cast<std::uint8_t>(v));
+  }
+  void write_string(std::string_view s) {
+    write_varint(s.size());
+    hash_.add(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  }
+  void write_bytes(const Bytes& b) {
+    write_varint(b.size());
+    hash_.add(b.data(), b.size());
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_.value(); }
+
+ private:
+  void write_u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) hash_.add(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+
+  Fnv1a hash_;
+};
+
+/// The one traversal behind encode() and digest().
+template <typename Sink>
+void write_value(const Value& v, Sink& w) {
+  w.write_u8(static_cast<std::uint8_t>(v.type()));
+  switch (v.type()) {
+    case Value::Type::kNull:
       break;
-    case Type::kBool:
-      w.write_u8(std::get<bool>(data_) ? 1 : 0);
+    case Value::Type::kBool:
+      w.write_u8(v.as_bool() ? 1 : 0);
       break;
-    case Type::kInt:
-      w.write_i64(std::get<std::int64_t>(data_));
+    case Value::Type::kInt:
+      w.write_i64(v.as_int());
       break;
-    case Type::kDouble:
-      w.write_f64(std::get<double>(data_));
+    case Value::Type::kDouble:
+      w.write_f64(v.as_double());
       break;
-    case Type::kString:
-      w.write_string(std::get<std::string>(data_));
+    case Value::Type::kString:
+      w.write_string(v.as_string());
       break;
-    case Type::kBytes:
-      w.write_bytes(std::get<Bytes>(data_));
+    case Value::Type::kBytes:
+      w.write_bytes(v.as_bytes());
       break;
-    case Type::kList: {
-      const auto& l = std::get<ValueList>(data_);
+    case Value::Type::kList: {
+      const auto& l = v.as_list();
       w.write_varint(l.size());
-      for (const auto& v : l) v.encode(w);
+      for (const auto& e : l) write_value(e, w);
       break;
     }
-    case Type::kMap: {
-      const auto& m = std::get<ValueMap>(data_);
+    case Value::Type::kMap: {
+      const auto& m = v.as_map();
       w.write_varint(m.size());
-      for (const auto& [k, v] : m) {
+      for (const auto& [k, e] : m) {
         w.write_string(k);
-        v.encode(w);
+        write_value(e, w);
       }
       break;
     }
   }
+}
+
+}  // namespace
+
+void Value::encode(ByteWriter& w) const { write_value(*this, w); }
+
+std::uint64_t Value::digest() const {
+  DigestWriter w;
+  write_value(*this, w);
+  return w.value();
+}
+
+std::uint64_t Value::digest_without(std::string_view key) const {
+  const auto& m = as_map();
+  DigestWriter w;
+  w.write_u8(static_cast<std::uint8_t>(Type::kMap));
+  w.write_varint(m.size() - (m.contains(key) ? 1 : 0));
+  for (const auto& [k, e] : m) {
+    if (k == key) continue;
+    w.write_string(k);
+    write_value(e, w);
+  }
+  return w.value();
 }
 
 Bytes Value::encode() const {
@@ -190,13 +255,16 @@ Value Value::decode(ByteReader& r) {
     case Type::kList: {
       const auto n = r.read_varint();
       ValueList l;
-      l.reserve(n);
+      // Every element takes at least one byte: a corrupt count cannot make
+      // the reserve outgrow the input.
+      l.reserve(std::min<std::uint64_t>(n, r.remaining()));
       for (std::uint64_t i = 0; i < n; ++i) l.push_back(decode(r));
       return Value(std::move(l));
     }
     case Type::kMap: {
       const auto n = r.read_varint();
       ValueMap m;
+      m.reserve(std::min<std::uint64_t>(n, r.remaining() / 2));  // key + tag
       for (std::uint64_t i = 0; i < n; ++i) {
         auto key = r.read_string();
         m.emplace(std::move(key), decode(r));

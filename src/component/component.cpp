@@ -1,5 +1,6 @@
 #include "rcs/component/component.hpp"
 
+#include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/component/composite.hpp"
 
@@ -33,8 +34,10 @@ Value Component::invoke(const std::string& service, const std::string& op,
 
 Value Component::call(const std::string& reference, const std::string& op,
                       const Value& args) {
-  ensure(composite_ != nullptr,
-         strf("component '", name_, "' is not inside a composite"));
+  // Formats only on failure: this runs on every inter-component call.
+  if (composite_ == nullptr) {
+    throw LogicError(strf("component '", name_, "' is not inside a composite"));
+  }
   return composite_->call_reference(*this, reference, op, args);
 }
 

@@ -1,5 +1,6 @@
 #include "rcs/component/composite.hpp"
 
+#include "rcs/common/error.hpp"
 #include "rcs/common/logging.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/component/package.hpp"
@@ -28,8 +29,9 @@ Component& Composite::add(const std::string& type_name,
   }
   const ComponentTypeInfo& info = registry().info(type_name);
   auto component = info.factory();
-  ensure(component != nullptr,
-         strf("factory for '", type_name, "' returned null"));
+  if (component == nullptr) {
+    throw LogicError(strf("factory for '", type_name, "' returned null"));
+  }
   component->name_ = instance_name;
   component->info_ = &info;
   component->composite_ = this;

@@ -1,5 +1,6 @@
 #include "rcs/component/registry.hpp"
 
+#include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/component/component.hpp"
 
@@ -26,8 +27,10 @@ ComponentRegistry& ComponentRegistry::instance() {
 
 void ComponentRegistry::register_type(ComponentTypeInfo info) {
   ensure(!info.type_name.empty(), "register_type: empty type name");
-  ensure(static_cast<bool>(info.factory),
-         strf("register_type: type '", info.type_name, "' has no factory"));
+  if (!info.factory) {
+    throw LogicError(
+        strf("register_type: type '", info.type_name, "' has no factory"));
+  }
   const std::lock_guard<std::mutex> lock(*mutex_);
   // Idempotent re-registration keeps tests simple (register_components() may
   // be called from several fixtures); the first registration wins.

@@ -125,7 +125,7 @@ class FtmBrick : public comp::Component {
 
   /// Content digest for result comparison (LFR notification, TR votes).
   [[nodiscard]] static std::int64_t digest(const Value& value) {
-    return static_cast<std::int64_t>(fnv1a(value.encode()));
+    return static_cast<std::int64_t>(value.digest());
   }
 
   // --- Fault simulation -----------------------------------------------------

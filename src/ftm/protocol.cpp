@@ -293,6 +293,7 @@ const char* ProtocolKernel::phase_reference(int phase) const {
 
 Value ProtocolKernel::ctx_view(const Ctx& ctx) const {
   Value view = Value::map();
+  view.as_map().reserve(11);  // every member below, trace included
   view.set("key", ctx.key)
       .set("client", ctx.client)
       .set("id", static_cast<std::int64_t>(ctx.id))

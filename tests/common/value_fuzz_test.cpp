@@ -5,6 +5,8 @@
 // and package checksums rely on.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "rcs/common/error.hpp"
 #include "rcs/common/rng.hpp"
 #include "rcs/common/value.hpp"
@@ -111,6 +113,24 @@ TEST_P(ValueFuzz, SingleByteCorruptionNeverGoesUnnoticed) {
     } catch (const ValueError&) {
       // Rejected: also fine.
     }
+  }
+}
+
+TEST_P(ValueFuzz, DigestMatchesFnv1aOfEncode) {
+  // digest() streams the hash over the encode() traversal; checksums and
+  // result digests rely on it being bit-identical to hashing the bytes.
+  Rng rng(0xD16E + GetParam());
+  for (int i = 0; i < 200; ++i) {
+    const Value v = random_value(rng, 3);
+    ASSERT_EQ(v.digest(), fnv1a(v.encode())) << v.to_string();
+    if (!v.is_map()) continue;
+    Value stripped = v;
+    const std::string key = v.size() > 0 && rng.bernoulli(0.5)
+                                ? v.as_map().begin()->first
+                                : "k" + std::to_string(rng.uniform_int(0, 99));
+    stripped.as_map().erase(key);
+    ASSERT_EQ(v.digest_without(key), fnv1a(stripped.encode()))
+        << key << " in " << v.to_string();
   }
 }
 

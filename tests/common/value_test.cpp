@@ -145,6 +145,17 @@ TEST(Value, DecodeRejectsTruncation) {
   EXPECT_THROW((void)Value::decode(encoded), ValueError);
 }
 
+TEST(Value, DecodeRejectsACountLargerThanTheInput) {
+  // A corrupt element count must not size a reservation: the decode runs
+  // out of input and reports truncation.
+  for (const auto type : {Value::Type::kList, Value::Type::kMap}) {
+    ByteWriter w;
+    w.write_u8(static_cast<std::uint8_t>(type));
+    w.write_varint(std::uint64_t{1} << 62);
+    EXPECT_THROW((void)Value::decode(w.take()), ValueError);
+  }
+}
+
 TEST(Value, EncodedSizeMatchesEncodeLength) {
   Value v = Value::map();
   v.set("k", Value(ValueList{Value(1), Value(2), Value(3)}));

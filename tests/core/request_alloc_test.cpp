@@ -1,0 +1,113 @@
+// Allocation guards for the request path.
+//
+// Every component call carries its arguments and results as Value maps, so
+// the heap cost of a map copy and of a whole steady-state request are the
+// figures that regress first. These tests count calls to the global
+// operator new, as tests/common/encoded_size_test.cpp does, and fail when a
+// change puts allocations back on the path. The ceilings sit about 10% above
+// the counts measured when they were set; lower them when a change removes
+// more.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "rcs/common/rng.hpp"
+#include "rcs/core/system.hpp"
+
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace rcs::core {
+namespace {
+
+TEST(RequestAllocations, CopyingAnEightMemberMapIsOneAllocation) {
+  Value map = Value::map();
+  for (int i = 0; i < 8; ++i) map.set("key" + std::to_string(i), i);
+  const std::size_t before = g_allocations.load();
+  const Value copy = map;
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(copy, map);
+}
+
+/// One request of the benchmark's mix: 60% incr, 20% get, 20% put, 64 keys.
+Value next_request(Rng& rng) {
+  const double pick = rng.uniform();
+  const std::string key = "k" + std::to_string(rng.uniform_int(0, 63));
+  if (pick < 0.6) {
+    return Value::map().set("op", "incr").set("key", key).set(
+        "by", rng.uniform_int(1, 3));
+  }
+  if (pick < 0.8) return Value::map().set("op", "get").set("key", key);
+  return Value::map().set("op", "put").set("key", key).set(
+      "value", rng.uniform_int(0, 999));
+}
+
+/// Mean allocations per steady-state roundtrip on a deployed duplex.
+double allocs_per_request(const ftm::FtmConfig& config) {
+  SystemOptions options;
+  options.replica_count = 2;
+  options.start_monitoring = false;
+  ResilientSystem system(options);
+  EXPECT_TRUE(system.deploy_and_wait(config).ok);
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    const Value reply = system.roundtrip(next_request(rng));
+    EXPECT_FALSE(reply.has("error")) << reply.to_string();
+  }
+  constexpr int kMeasured = 300;
+  std::size_t total = 0;
+  for (int i = 0; i < kMeasured; ++i) {
+    Value request = next_request(rng);
+    const std::size_t before = g_allocations.load();
+    const Value reply = system.roundtrip(std::move(request));
+    total += g_allocations.load() - before;
+    EXPECT_FALSE(reply.has("error")) << reply.to_string();
+  }
+  return static_cast<double>(total) / kMeasured;
+}
+
+TEST(RequestAllocations, PbrRoundtripStaysUnderCeiling) {
+  const double allocs = allocs_per_request(ftm::FtmConfig::pbr());
+  RecordProperty("allocs_per_request", std::to_string(allocs));
+  EXPECT_LT(allocs, 170.0);  // 154 when set; 396 with tree maps
+}
+
+TEST(RequestAllocations, LfrRoundtripStaysUnderCeiling) {
+  const double allocs = allocs_per_request(ftm::FtmConfig::lfr());
+  RecordProperty("allocs_per_request", std::to_string(allocs));
+  EXPECT_LT(allocs, 145.0);  // 132 when set; 382 with tree maps
+}
+
+TEST(RequestAllocations, TrRoundtripStaysUnderCeiling) {
+  const double allocs = allocs_per_request(ftm::FtmConfig::tr());
+  RecordProperty("allocs_per_request", std::to_string(allocs));
+  EXPECT_LT(allocs, 58.0);  // 52 when set; 271 with tree maps
+}
+
+}  // namespace
+}  // namespace rcs::core
