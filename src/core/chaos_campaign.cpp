@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "rcs/app/app_base.hpp"
-#include "rcs/common/logging.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -32,37 +31,15 @@ Value kv_request(const std::string& op, const std::string& key) {
   return Value::map().set("op", op).set("key", key);
 }
 
-/// Whether every partition's wheel is drained (the serial "loop empty").
-bool all_idle(sim::Simulation& sim) {
-  for (int p = 0; p < sim.partition_count(); ++p) {
-    if (!sim.loop_of(p).empty()) return false;
-  }
-  return true;
-}
-
-/// Advance the simulation by (at most) one observable step. Serial runs
-/// keep the historical single-event step for byte-identical traces; a
-/// partitioned run has no global event order to step through, so it
-/// advances a small window through the parallel driver instead.
-void step_once(sim::Simulation& sim) {
-  if (sim.partition_count() == 1) {
-    sim.loop().step();
-    return;
-  }
-  sim.run_until(sim.now() + 10 * sim::kMillisecond);
-}
-
 /// Issue one request and step the loop until its reply or `budget` elapses.
 std::optional<Value> drive(ResilientSystem& system, Value request,
                            sim::Duration budget) {
   std::optional<Value> reply;
   system.client().send(std::move(request),
                        [&reply](const Value& r) { reply = r; });
-  const sim::Time deadline = system.sim().now() + budget;
-  while (!reply && system.sim().now() < deadline) {
-    if (all_idle(system.sim())) break;
-    step_once(system.sim());
-  }
+  sim::EventLoop& loop = system.sim().loop();
+  const sim::Time deadline = loop.now() + budget;
+  while (!reply && loop.now() < deadline && !loop.empty()) loop.step();
   return reply;
 }
 
@@ -72,8 +49,6 @@ ChaosCampaignResult execute(const ChaosCampaignOptions& options,
   sys.seed = options.seed;
   sys.start_monitoring = false;  // campaigns adapt only on explicit request
   ResilientSystem system(sys);
-  system.sim().set_threads(options.threads);
-  system.sim().set_adaptive_windows(options.adaptive_windows);
   system.sim().loop().reserve(options.queue_depth_hint);
   // Tracing must switch on before deployment so the deploy spans and every
   // request span land in the rings; the run itself stays bit-identical
@@ -100,23 +75,6 @@ ChaosCampaignResult execute(const ChaosCampaignOptions& options,
 
   system.deploy_and_wait(config);
   auto& sim = system.sim();
-
-  if (options.auto_partition) {
-    // Partition by topology once the deployment is quiescent: the
-    // repository's slow WAN link separates it from the replica/client/
-    // manager cluster, giving threaded runs a real concurrent window with
-    // the full cross-partition lookahead. Chaos endpoints (replicas +
-    // client) all land in one partition, so fault windows stay
-    // single-writer.
-    const int assigned = sim.auto_partition(std::max(2, options.threads));
-    if (assigned > 1) {
-      log().info("chaos", strf("auto-partitioned into ", assigned,
-                               " partitions (lookahead ",
-                               sim::to_ms(
-                                   sim.network().cross_partition_lookahead()),
-                               " ms)"));
-    }
-  }
 
   // --- Chaos scope: fault classes the deployed FTM(s) are specified for.
   sim::ChaosScheduleOptions chaos;
@@ -240,9 +198,8 @@ ChaosCampaignResult execute(const ChaosCampaignOptions& options,
   sim.run_until(chaos.heal_deadline);
   const sim::Time drain_deadline = chaos.heal_deadline + options.drain;
   while ((system.client().outstanding() > 0 || !transition_done) &&
-         sim.now() < drain_deadline) {
-    if (all_idle(sim)) break;
-    step_once(sim);
+         sim.now() < drain_deadline && !sim.loop().empty()) {
+    sim.loop().step();
   }
 
   // --- Post-quiescence probes: the healed system must answer promptly.
@@ -316,21 +273,7 @@ ChaosCampaignResult execute(const ChaosCampaignOptions& options,
         strf("retries forbidden by the oracle but the client retried ",
              result.client_stats.retries, " time(s)"));
   }
-  // Scheduler accounting over every partition's wheel (one wheel serial).
-  result.partitions = sim.partition_count();
-  for (int p = 0; p < sim.partition_count(); ++p) {
-    const auto& loop = sim.loop_of(p);
-    result.events += loop.processed();
-    result.peak_queue_depth =
-        std::max(result.peak_queue_depth, loop.peak_pending());
-    const auto wheel = loop.wheel_stats();
-    result.wheel.cascaded_entries += wheel.cascaded_entries;
-    result.wheel.bucket_sorts += wheel.bucket_sorts;
-    result.wheel.overflow_migrated += wheel.overflow_migrated;
-    result.wheel.overflow_peak =
-        std::max(result.wheel.overflow_peak, wheel.overflow_peak);
-  }
-  result.parallel = sim.parallel_stats();
+  result.run_stats.add(sim.loop());
   result.fsim = system.sim().fsim().coverage();
   result.passed = result.report.ok();
   result.trace = strf(

@@ -22,6 +22,7 @@
 #include "rcs/core/system.hpp"
 #include "rcs/ftm/history.hpp"
 #include "rcs/sim/chaos.hpp"
+#include "rcs/sim/run_stats.hpp"
 
 namespace rcs::core {
 
@@ -60,23 +61,6 @@ struct ChaosCampaignOptions {
   /// isolation (escalation-path tests). Ignored when no target survives the
   /// FTM scoping — a schedule needs at least one enabled class.
   bool fsim_only{false};
-  /// Worker threads for the simulation's partition windows (0 = serial).
-  /// A chaos deployment is one partition, so the output is byte-identical
-  /// either way; threaded runs exercise the pool handoffs (e.g. under TSan).
-  int threads{0};
-  /// Partition the deployment by topology (Simulation::auto_partition) right
-  /// after deploy: the repository's slow link makes it its own partition, so
-  /// threaded runs execute real concurrent windows. Changes the per-host rng
-  /// streams (partition-derived), so results are comparable only with other
-  /// auto-partitioned runs of the same seed — replay/rerun determinism still
-  /// holds at any thread count. With fault simulation enabled the registry's
-  /// consult path is cross-partition-shared; combine with fsim=false for
-  /// race-free concurrent windows (the runner enforces this).
-  bool auto_partition{false};
-  /// Adaptive lookahead windows (Simulation::set_adaptive_windows). The
-  /// adaptive schedule is counted-output-identical to fixed windows, so CI
-  /// cmp-gates a run with this forced off against the default-on run.
-  bool adaptive_windows{true};
 };
 
 struct ChaosCampaignResult {
@@ -95,20 +79,11 @@ struct ChaosCampaignResult {
   std::string trace_json;
   /// Metrics registry export, one JSON object per line (same gating).
   std::string metrics_json;
-  /// Scheduler events processed over the whole campaign (throughput
-  /// accounting for the runners' stderr summaries).
-  std::uint64_t events{0};
-  /// High-water mark of the pending-event queue.
-  std::size_t peak_queue_depth{0};
-  /// Timer-wheel traffic counters (cascades, sorts, overflow migrations);
-  /// deterministic, reported only in the runners' stderr summaries.
-  sim::EventLoop::WheelStats wheel{};
+  /// Scheduler accounting over the whole campaign; deterministic, reported
+  /// only in the runners' stderr summaries.
+  sim::RunStats run_stats{};
   /// Fault-simulation (point, protocol-state) coverage of this run.
   fsim::CoverageReport fsim;
-  /// Partition count the run executed with (1 = serial topology).
-  int partitions{1};
-  /// Parallel-window accounting (all-zero for unpartitioned serial runs).
-  sim::Simulation::ParallelStats parallel{};
 };
 
 /// Generate the schedule from `options.seed` and run it.

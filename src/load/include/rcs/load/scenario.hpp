@@ -24,6 +24,7 @@
 #include "rcs/core/monitoring.hpp"
 #include "rcs/ftm/history.hpp"
 #include "rcs/load/fleet.hpp"
+#include "rcs/sim/run_stats.hpp"
 #include "rcs/sim/simulation.hpp"
 
 namespace rcs::load {
@@ -53,8 +54,6 @@ struct AdaptScenarioOptions {
   /// Pending-event depth hint passed to EventLoop::reserve() before the
   /// scenario starts (clients, detectors, checkpoint + monitoring timers).
   std::size_t queue_depth_hint{4096};
-  /// Worker threads for the simulation's partition windows (0 = serial).
-  int threads{0};
 };
 
 struct AdaptScenarioResult {
@@ -74,14 +73,9 @@ struct AdaptScenarioResult {
   std::string trace;
   std::string trace_json;    // gated by record_trace
   std::string metrics_json;  // gated by record_trace
-  /// Scheduler events processed and pending-queue high-water mark
-  /// (throughput accounting for load_runner's summary).
-  std::uint64_t events{0};
-  std::size_t peak_queue_depth{0};
-  /// Timer-wheel traffic counters for load_runner's stderr summary.
-  sim::EventLoop::WheelStats wheel{};
-  /// Parallel-window accounting (all-zero for unpartitioned serial runs).
-  sim::Simulation::ParallelStats parallel{};
+  /// Scheduler accounting (load_runner's and gateway_runner's stderr
+  /// summaries).
+  sim::RunStats run_stats{};
   bool passed{false};
 };
 

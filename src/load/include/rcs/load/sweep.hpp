@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "rcs/load/fleet.hpp"
+#include "rcs/sim/run_stats.hpp"
 #include "rcs/sim/simulation.hpp"
 
 namespace rcs::load {
@@ -49,10 +50,6 @@ struct SweepOptions {
   /// ramp: roughly one in-flight timer set per client plus detector and
   /// checkpoint timers, with headroom for the saturated tail of the ramp.
   std::size_t queue_depth_hint{4096};
-  /// Worker threads for the simulation's partition windows (0 = serial).
-  /// The ramp deploys a single partition, so results are byte-identical at
-  /// any thread count; threaded runs exercise the pool (e.g. under TSan).
-  int threads{0};
 };
 
 struct SweepPoint {
@@ -79,14 +76,9 @@ struct SweepResult {
   std::vector<SweepPoint> points;
   /// Index of the first point past the knee; -1 if the ramp never saturates.
   int knee_index{-1};
-  /// Scheduler events processed over the whole sweep and the pending-queue
-  /// high-water mark (throughput accounting for load_runner's summary).
-  std::uint64_t events{0};
-  std::size_t peak_queue_depth{0};
-  /// Timer-wheel traffic counters for load_runner's stderr summary.
-  sim::EventLoop::WheelStats wheel{};
-  /// Parallel-window accounting (all-zero for unpartitioned serial runs).
-  sim::Simulation::ParallelStats parallel{};
+  /// Scheduler accounting over the whole sweep (load_runner's stderr
+  /// summary).
+  sim::RunStats run_stats{};
 
   [[nodiscard]] double knee_offered_rps() const {
     return knee_index < 0 ? 0.0

@@ -71,12 +71,10 @@ void Host::send(HostId to, MsgType type, Payload payload) {
 
 TimerId Host::schedule_raw(Duration delay, EventLoop::Action action,
                            std::string_view label) {
-  // Always the host's own wheel: a host's timers live on its partition
-  // regardless of which thread (or partition window) schedules them.
-  return sim_.loop_for(id_).schedule_after(delay, std::move(action), label);
+  return sim_.loop().schedule_after(delay, std::move(action), label);
 }
 
-void Host::cancel(TimerId id) { sim_.loop_for(id_).cancel(id); }
+void Host::cancel(TimerId id) { sim_.loop().cancel(id); }
 
 Duration Host::charge_compute(Duration reference_cost) {
   ensure(reference_cost >= 0, "Host::charge_compute: negative cost");
@@ -85,9 +83,7 @@ Duration Host::charge_compute(Duration reference_cost) {
   meter_.charge_cpu(execution);
   // Serialize on the CPU: start when the processor frees up, like frames on
   // a busy link. Queueing delays the computation but burns no CPU time.
-  // Clocked off the host's own wheel, which is the executing wheel whenever
-  // this host's code runs.
-  const Time now = sim_.loop_for(id_).now();
+  const Time now = sim_.loop().now();
   const Time start = std::max(now, cpu_free_);
   const Duration queueing = start - now;
   cpu_free_ = start + execution;

@@ -106,13 +106,6 @@ class EventLoop {
   void reserve(std::size_t n);
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
-  /// Lower bound on the earliest pending event's timestamp, without running
-  /// anything: the start of the first nonempty bucket at or after the
-  /// cursor (exact at level 0), or the overflow heap's front. Returns
-  /// kNoEvent when nothing is pending. Used by the parallel driver's idle
-  /// jump — a loose bound only shortens the jump, never skips an event.
-  static constexpr Time kNoEvent = INT64_MAX;
-  [[nodiscard]] Time next_event_bound() const;
   [[nodiscard]] std::size_t pending() const { return live_; }
   /// High-water mark of pending() over the loop's lifetime (queue depth).
   [[nodiscard]] std::size_t peak_pending() const { return peak_live_; }

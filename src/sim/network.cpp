@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "rcs/common/error.hpp"
 #include "rcs/common/logging.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/sim/host.hpp"
 #include "rcs/sim/simulation.hpp"
 
@@ -42,13 +40,6 @@ Network::LinkEntry& Network::entry(std::uint64_t k) {
       if (e.key == k) return e;
       slot = (slot + 1) & mask;
     }
-  }
-  if (frozen_) {
-    throw SimError(
-        strf("Network: link ", HostId{static_cast<std::uint32_t>(k >> 32)},
-             "<->", HostId{static_cast<std::uint32_t>(k & 0xFFFFFFFFu)},
-             " touched during a multi-partition window; materialize every "
-             "link (Network::link) before running partitioned"));
   }
   // Grow at 50% load so probe chains stay short; entries_ is a deque, so the
   // LinkEntry references handed out below survive every rehash.
@@ -96,15 +87,7 @@ void Network::set_partitioned(HostId a, HostId b, bool partitioned) {
 
 LinkStats Network::link_stats(HostId a, HostId b) const {
   const LinkEntry* e = find_entry(key(a, b));
-  if (e == nullptr) return LinkStats{};
-  LinkStats merged = e->stats[0];
-  merged.messages += e->stats[1].messages;
-  merged.bytes += e->stats[1].bytes;
-  merged.dropped += e->stats[1].dropped;
-  merged.duplicated += e->stats[1].duplicated;
-  merged.reordered += e->stats[1].reordered;
-  merged.queueing += e->stats[1].queueing;
-  return merged;
+  return e == nullptr ? LinkStats{} : e->stats;
 }
 
 const HostTraffic& Network::traffic(HostId h) const {
@@ -113,31 +96,21 @@ const HostTraffic& Network::traffic(HostId h) const {
   return i < traffic_.size() ? traffic_[i] : kZero;
 }
 
-std::uint64_t Network::total_bytes() const {
-  std::uint64_t total = 0;
-  for (const ByteStripe& s : byte_stripes_) total += s.bytes;
-  return total;
-}
-
 void Network::send(Message message) {
   Host& sender = sim_.host(message.from);
   if (!sender.alive()) return;  // a crashed host is fail-silent
 
   message.size_bytes = message.payload.encoded_size() + kHeaderBytes;
-  // One probe fetches params, the direction's stats and transmitter-free
-  // time. Only the sending side's direction slot is written, so concurrent
-  // partition windows never touch the same counters.
+  // One probe fetches params, stats and the transmitter-free times.
   LinkEntry& e = entry(key(message.from, message.to));
   const LinkParams& params = e.params;
-  const std::size_t dir = direction(message.from, message.to);
-  LinkStats& stats = e.stats[dir];
+  LinkStats& stats = e.stats;
 
   // Sender-side accounting happens even for dropped messages: the bytes were
   // put on the wire.
-  const int src = sim_.partition_of(message.from);
   stats.messages += 1;
   stats.bytes += message.size_bytes;
-  byte_stripes_[static_cast<std::size_t>(src)].bytes += message.size_bytes;
+  total_bytes_ += message.size_bytes;
   HostTraffic& sender_traffic = traffic_slot(message.from);
   sender_traffic.bytes_sent += message.size_bytes;
   sender_traffic.messages_sent += 1;
@@ -175,7 +148,7 @@ void Network::send(Message message) {
     // transmitter is busy queues behind the earlier ones. Propagation
     // (latency) still overlaps.
     const Time now = sim_.now();
-    Time& tx_free = e.tx_free[dir];
+    Time& tx_free = e.tx_free[direction(message.from, message.to)];
     const Time start = std::max(now, tx_free);
     const Duration queueing = start - now;
     tx_free = start + transfer;
@@ -204,23 +177,6 @@ void Network::send(Message message) {
   }
 
   const Time base = sim_.now();
-  const int dst = sim_.partition_of(message.to);
-  if (windowed_ && src != dst) {
-    // Inside a multi-partition window the destination's loop belongs to
-    // another thread: park the delivery in this partition's outbox. The
-    // lookahead bound (delay >= link latency >= window length) guarantees
-    // the merge at the barrier still lands it before the destination's
-    // clock passes it.
-    Outbox& out = outboxes_[static_cast<std::size_t>(src)];
-    if (duplicate_delay >= 0) {
-      out.entries.push_back({base + duplicate_delay, out.next_seq++,
-                             static_cast<std::uint32_t>(src), message});
-    }
-    out.entries.push_back({base + delay, out.next_seq++,
-                           static_cast<std::uint32_t>(src),
-                           std::move(message)});
-    return;
-  }
   if (duplicate_delay >= 0) {
     // The duplicate shares the payload with the original: copying a Message
     // is two ids, a type id and a refcount bump.
@@ -230,11 +186,10 @@ void Network::send(Message message) {
 }
 
 void Network::schedule_delivery(Time at, Message message, bool duplicate) {
-  const HostId to = message.to;
   auto deliver = [this, message = std::move(message)] { deliver_copy(message); };
   static_assert(EventLoop::Action::kFitsInline<decltype(deliver)>,
                 "network delivery closure must not allocate");
-  sim_.loop_for(to).schedule_at(
+  sim_.loop().schedule_at(
       at, std::move(deliver), duplicate ? "net.deliver.dup" : "net.deliver");
 }
 
@@ -249,125 +204,9 @@ void Network::deliver_copy(const Message& message) {
 }
 
 void Network::reset_stats() {
-  for (LinkEntry& e : entries_) {
-    e.stats[0] = LinkStats{};
-    e.stats[1] = LinkStats{};
-  }
+  for (LinkEntry& e : entries_) e.stats = LinkStats{};
   traffic_.assign(traffic_.size(), HostTraffic{});
-  for (ByteStripe& s : byte_stripes_) s.bytes = 0;
-}
-
-void Network::ensure_partitions(int partitions) {
-  const auto n = static_cast<std::size_t>(std::max(partitions, 1));
-  if (byte_stripes_.size() < n) byte_stripes_.resize(n);
-  if (outboxes_.size() < n) outboxes_.resize(n);
-}
-
-void Network::begin_parallel(int partitions) {
-  ensure_partitions(partitions);
-  if (partitions <= 1) return;
-  // Pre-size the traffic table: lazy growth inside a window would race the
-  // other partitions' reads. Host ids are dense, so host_count covers it.
-  if (traffic_.size() < sim_.host_count()) traffic_.resize(sim_.host_count());
-  windowed_ = true;
-  frozen_ = true;
-}
-
-void Network::end_parallel() {
-  windowed_ = false;
-  frozen_ = false;
-}
-
-Duration Network::cross_partition_lookahead() const {
-  // Only materialized cross links bound the window: an unmaterialized link
-  // cannot carry traffic during a frozen window (entry() throws on the first
-  // touch), so it cannot constrain when partitions may interact.
-  Duration lookahead = kMaxDuration;
-  for (const LinkEntry& e : entries_) {
-    const HostId a{static_cast<std::uint32_t>(e.key >> 32)};
-    const HostId b{static_cast<std::uint32_t>(e.key & 0xFFFFFFFFu)};
-    if (sim_.partition_of(a) == sim_.partition_of(b)) continue;
-    lookahead = std::min(lookahead, e.params.latency);
-  }
-  return lookahead;
-}
-
-std::vector<Network::LinkInfo> Network::materialized_links() const {
-  std::vector<LinkInfo> links;
-  links.reserve(entries_.size());
-  for (const LinkEntry& e : entries_) {
-    links.push_back(LinkInfo{HostId{static_cast<std::uint32_t>(e.key >> 32)},
-                             HostId{static_cast<std::uint32_t>(e.key & 0xFFFFFFFFu)},
-                             e.params.latency});
-  }
-  return links;
-}
-
-bool Network::has_pending_outbox() const {
-  for (const Outbox& out : outboxes_) {
-    if (!out.entries.empty()) return true;
-  }
-  return false;
-}
-
-Network::MergeResult Network::merge_window() {
-  MergeResult result;
-  merge_cursors_.clear();
-  for (std::size_t i = 0; i < outboxes_.size(); ++i) {
-    std::vector<PendingDelivery>& entries = outboxes_[i].entries;
-    if (entries.empty()) continue;
-    // Within one outbox seq is the unique send counter, so (at, seq) is a
-    // strict order; entries are nearly sorted already (deliveries mostly
-    // leave in timestamp order), which std::sort handles well.
-    std::sort(entries.begin(), entries.end(),
-              [](const PendingDelivery& a, const PendingDelivery& b) {
-                if (a.at != b.at) return a.at < b.at;
-                return a.seq < b.seq;
-              });
-    merge_cursors_.emplace_back(i, 0);
-    result.count += entries.size();
-  }
-  result.outboxes = merge_cursors_.size();
-  if (merge_cursors_.empty()) return result;
-  // K-way merge over the sorted outboxes: repeatedly pick the cursor whose
-  // front is least under (at, seq, partition) — unique per entry, so a
-  // strict total order deterministic for a fixed partition assignment — and
-  // schedule it straight onto the destination loop. k is at most the
-  // partition count, so the linear min-scan beats a heap for real fleets.
-  bool first = true;
-  while (!merge_cursors_.empty()) {
-    std::size_t best = 0;
-    const PendingDelivery* best_d =
-        &outboxes_[merge_cursors_[0].first].entries[merge_cursors_[0].second];
-    for (std::size_t c = 1; c < merge_cursors_.size(); ++c) {
-      const PendingDelivery& d =
-          outboxes_[merge_cursors_[c].first].entries[merge_cursors_[c].second];
-      const bool less = d.at != best_d->at  ? d.at < best_d->at
-                        : d.seq != best_d->seq ? d.seq < best_d->seq
-                                               : d.partition < best_d->partition;
-      if (less) {
-        best = c;
-        best_d = &d;
-      }
-    }
-    if (first) {
-      result.min_at = best_d->at;
-      first = false;
-    }
-    PendingDelivery& d = const_cast<PendingDelivery&>(*best_d);
-    const EventLoop& dst = sim_.loop_for(d.message.to);
-    ensure(d.at >= dst.now(),
-           "Network::merge_window: delivery before the destination clock — "
-           "lookahead bound violated");
-    schedule_delivery(d.at, std::move(d.message), /*duplicate=*/false);
-    auto& [outbox, pos] = merge_cursors_[best];
-    if (++pos == outboxes_[outbox].entries.size()) {
-      outboxes_[outbox].entries.clear();
-      merge_cursors_[best] = merge_cursors_.back();
-      merge_cursors_.pop_back();
-    }
-  }
-  return result;
+  total_bytes_ = 0;
 }
 
 }  // namespace rcs::sim

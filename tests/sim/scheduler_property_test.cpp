@@ -272,12 +272,14 @@ TEST(SchedulerProperty, CancelHeavyInterleavings) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned-loops property: two timer wheels advanced in conservative
-// lookahead windows, with cross-loop handoffs deferred to a mailbox and
-// merged at each window barrier in (at, seq, source) order — exactly the
-// scheme Simulation's parallel driver uses — must fire the same events at
-// the same times, event for event, as one reference wheel that schedules
-// every handoff directly.
+// Windowed-loops property: two timer wheels advanced in lockstep by
+// windowed run_until calls no wider than the minimum handoff delay, with
+// cross-loop handoffs deferred to a mailbox and scheduled on the target
+// wheel at each window boundary in (at, seq, source) order, must fire the
+// same events at the same times, event for event, as one reference wheel
+// that schedules every handoff directly. This pins down what windowed
+// driving relies on: run_until never runs past its horizon, and events
+// scheduled at or after a wheel's clock between windows keep their order.
 //
 // Timestamp classes keep the comparison exact without an ordering oracle:
 // loop-0 local chains live on times ≡ 0 (mod 4), loop-1 local chains on
@@ -384,9 +386,9 @@ struct TwoLoopHarness {
     }
   }
 
-  /// Drive both partition wheels to quiescence with randomized window
-  /// widths in [1, kLookahead], merging the mailbox at every barrier.
-  void run_partitioned(std::uint64_t state) {
+  /// Drive both wheels to quiescence with randomized window widths in
+  /// [1, kLookahead], merging the mailbox at every window boundary.
+  void run_windowed(std::uint64_t state) {
     Time w = 0;
     while (!part[0].empty() || !part[1].empty() || !mailbox.empty()) {
       state = mix(state);
@@ -401,8 +403,8 @@ struct TwoLoopHarness {
                 });
       for (const Handoff& m : mailbox) {
         const int dst = owner(m.token);
-        // The conservative safety bound the engine relies on: nothing can
-        // arrive in a window that already ran.
+        // The window bound: nothing can arrive in a window that already
+        // ran.
         ASSERT_GE(m.at, part[dst].now());
         part[dst].schedule_at(m.at, [this, c = m.token] { part_fire(c); },
                               "prop.merge");
@@ -425,12 +427,12 @@ struct TwoLoopHarness {
 void run_two_loop_property(std::uint64_t seed, int per_loop) {
   TwoLoopHarness h;
   h.seed_workload(per_loop);
-  h.run_partitioned(seed);
+  h.run_windowed(seed);
   if (::testing::Test::HasFatalFailure()) return;
   h.run_reference(mix(seed ^ 0xD15EA5E));
 
   // Merge the two per-loop logs by time: classes guarantee no cross-loop
-  // tie, so the comparator never decides an ordering the engine wouldn't.
+  // tie, so the comparator never decides an ordering the wheels wouldn't.
   std::vector<TwoLoopHarness::Fire> merged;
   merged.reserve(h.part_log[0].size() + h.part_log[1].size());
   std::merge(h.part_log[0].begin(), h.part_log[0].end(),

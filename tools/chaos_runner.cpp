@@ -29,24 +29,26 @@
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "rcs/common/logging.hpp"
 #include "rcs/core/chaos_campaign.hpp"
 #include "rcs/fsim/fsim.hpp"
+#include "rcs/sim/run_stats.hpp"
 
 namespace {
 
+using rcs::cli::parse_flag;
 using rcs::core::ChaosCampaignOptions;
 using rcs::core::ChaosCampaignResult;
 namespace fsim = rcs::fsim;
 
-/// Wall-clock throughput accounting, printed to stderr so stdout stays
+/// Cap on --seeds / --transitions: far past any useful sweep.
+constexpr int kMaxSeeds = 1'000'000;
+
+/// Scheduler accounting plus wall clock, printed to stderr so stdout stays
 /// byte-identical for the determinism cmp gates.
 struct RunSummary {
-  std::uint64_t events{0};
-  std::size_t peak_queue_depth{0};
-  rcs::sim::EventLoop::WheelStats wheel{};
-  rcs::sim::Simulation::ParallelStats parallel{};
-  int max_partitions{1};
+  rcs::sim::RunStats stats;
   /// Merged fsim coverage of every reported campaign. Merged in plan order
   /// (report_one), and merge() is order-insensitive anyway, so serial and
   /// --jobs sweeps accumulate identical reports.
@@ -54,52 +56,14 @@ struct RunSummary {
   std::chrono::steady_clock::time_point start{std::chrono::steady_clock::now()};
 
   void add(const ChaosCampaignResult& result) {
-    events += result.events;
+    stats.merge(result.run_stats);
     coverage.merge(result.fsim);
-    peak_queue_depth = std::max(peak_queue_depth, result.peak_queue_depth);
-    wheel.cascaded_entries += result.wheel.cascaded_entries;
-    wheel.bucket_sorts += result.wheel.bucket_sorts;
-    wheel.overflow_migrated += result.wheel.overflow_migrated;
-    wheel.overflow_peak = std::max(wheel.overflow_peak,
-                                   result.wheel.overflow_peak);
-    parallel.windows += result.parallel.windows;
-    parallel.widened_windows += result.parallel.widened_windows;
-    parallel.idle_jumps += result.parallel.idle_jumps;
-    parallel.merged_deliveries += result.parallel.merged_deliveries;
-    parallel.parallel_events += result.parallel.parallel_events;
-    parallel.makespan_events += result.parallel.makespan_events;
-    max_partitions = std::max(max_partitions, result.partitions);
   }
   void print() const {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    const double rate =
-        seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0;
-    std::fprintf(stderr,
-                 "summary: %llu events processed, %.0f events/sec, "
-                 "peak queue depth %zu, wall %.2fs\n",
-                 static_cast<unsigned long long>(events), rate,
-                 peak_queue_depth, seconds);
-    std::fprintf(stderr,
-                 "wheel: %llu cascaded, %llu bucket sorts, "
-                 "%llu overflow migrations, overflow peak %zu\n",
-                 static_cast<unsigned long long>(wheel.cascaded_entries),
-                 static_cast<unsigned long long>(wheel.bucket_sorts),
-                 static_cast<unsigned long long>(wheel.overflow_migrated),
-                 wheel.overflow_peak);
-    if (parallel.windows != 0) {
-      std::fprintf(
-          stderr,
-          "parallel: %d partition(s), %llu windows (%llu widened, "
-          "%llu idle jumps), %llu merged deliveries, "
-          "critical-path speedup %.3f\n",
-          max_partitions, static_cast<unsigned long long>(parallel.windows),
-          static_cast<unsigned long long>(parallel.widened_windows),
-          static_cast<unsigned long long>(parallel.idle_jumps),
-          static_cast<unsigned long long>(parallel.merged_deliveries),
-          parallel.critical_path_speedup());
-    }
+    std::fputs(stats.format(seconds).c_str(), stderr);
   }
 };
 
@@ -113,16 +77,6 @@ struct Args {
   int seeds{50};
   int transition_seeds{20};
   int jobs{1};
-  /// Simulation worker threads per campaign (0 = serial). Orthogonal to
-  /// --jobs: jobs parallelizes across campaigns, threads inside one.
-  int threads{0};
-  /// Topology-partition each campaign (repository vs. replica cluster) so
-  /// --threads runs real concurrent windows. Requires --fsim off: the fsim
-  /// registry's consult path is shared across partitions.
-  bool auto_partition{false};
-  /// Adaptive lookahead windows; "off" forces one rendezvous per window.
-  /// Counted output is identical either way — CI cmp-gates both settings.
-  bool adaptive{true};
   std::uint64_t base_seed{1};
   std::vector<std::string> ftms{"PBR", "LFR", "TR"};
   std::string delta{"both"};  // on | off | both
@@ -145,9 +99,8 @@ void usage() {
   std::puts(
       "usage: chaos_runner [--seeds N] [--transitions N] [--base-seed S]\n"
       "                    [--ftm A,B,..] [--delta on|off|both] [--jobs N]\n"
-      "                    [--threads N] [--auto-partition]\n"
-      "                    [--adaptive on|off] [--fsim GLOB|off]\n"
-      "                    [--coverage-out FILE] [--verbose]\n"
+      "                    [--fsim GLOB|off] [--coverage-out FILE]\n"
+      "                    [--verbose]\n"
       "       chaos_runner --replay SEED --ftm NAME --delta on|off\n"
       "                    [--transition-to NAME] [--trace-out FILE]\n"
       "                    [--metrics-out FILE] [--coverage-out FILE]\n"
@@ -215,33 +168,15 @@ bool parse_args(int argc, char** argv, Args& args) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--seeds") {
-      const char* v = next();
-      if (!v) return false;
-      args.seeds = std::atoi(v);
+      if (!parse_flag(arg, next(), 0, kMaxSeeds, args.seeds)) return false;
     } else if (arg == "--transitions") {
-      const char* v = next();
-      if (!v) return false;
-      args.transition_seeds = std::atoi(v);
+      if (!parse_flag(arg, next(), 0, kMaxSeeds, args.transition_seeds)) {
+        return false;
+      }
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return false;
-      args.jobs = std::atoi(v);
-      if (args.jobs < 1) {
-        std::fprintf(stderr, "bad --jobs value: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args.threads = std::atoi(v);
-      if (args.threads < 0) {
-        std::fprintf(stderr, "bad --threads value: %s\n", v);
-        return false;
-      }
+      if (!parse_flag(arg, next(), 1, 1024, args.jobs)) return false;
     } else if (arg == "--base-seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.base_seed = std::strtoull(v, nullptr, 10);
+      if (!parse_flag(arg, next(), 0, UINT64_MAX, args.base_seed)) return false;
     } else if (arg == "--ftm") {
       const char* v = next();
       if (!v) return false;
@@ -252,10 +187,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!v) return false;
       args.delta = v;
     } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) return false;
+      if (!parse_flag(arg, next(), 0, UINT64_MAX, args.replay_seed)) {
+        return false;
+      }
       args.has_replay = true;
-      args.replay_seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--transition-to") {
       const char* v = next();
       if (!v) return false;
@@ -276,16 +211,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.coverage_out = v;
-    } else if (arg == "--auto-partition") {
-      args.auto_partition = true;
-    } else if (arg == "--adaptive") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0) {
-        std::fprintf(stderr, "bad --adaptive value: %s\n", v);
-        return false;
-      }
-      args.adaptive = std::strcmp(v, "on") == 0;
     } else if (arg == "--list-points") {
       args.list_points = true;
     } else if (arg == "--coverage-sweep") {
@@ -401,12 +326,6 @@ int run_sweep(const Args& args, RunSummary& summary) {
   bool fsim_on = true;
   std::vector<int> fsim_points;
   if (!resolve_fsim(args, fsim_on, fsim_points)) return 2;
-  if (args.auto_partition && fsim_on) {
-    std::fprintf(stderr,
-                 "--auto-partition requires --fsim off (the fault-simulation "
-                 "registry is shared across partitions)\n");
-    return 2;
-  }
 
   // The full campaign plan, in canonical (seed) order. --jobs executes it
   // out of order but always reports it in this order, so the output is
@@ -421,9 +340,6 @@ int run_sweep(const Args& args, RunSummary& summary) {
         options.delta_checkpoint = delta;
         options.fsim = fsim_on;
         options.fsim_points = fsim_points;
-        options.threads = args.threads;
-        options.auto_partition = args.auto_partition;
-        options.adaptive_windows = args.adaptive;
         plan.push_back(options);
       }
     }
@@ -446,9 +362,6 @@ int run_sweep(const Args& args, RunSummary& summary) {
     options.transition_to = spec.transition_to;
     options.fsim = fsim_on;
     options.fsim_points = fsim_points;
-    options.threads = args.threads;
-    options.auto_partition = args.auto_partition;
-    options.adaptive_windows = args.adaptive;
     plan.push_back(options);
   }
 
@@ -548,16 +461,7 @@ int run_replay(const Args& args, RunSummary& summary) {
   options.delta_checkpoint = args.delta != "off";
   options.transition_to = args.transition_to;
   options.record_trace = !args.trace_out.empty() || !args.metrics_out.empty();
-  options.threads = args.threads;
-  options.auto_partition = args.auto_partition;
-  options.adaptive_windows = args.adaptive;
   if (!resolve_fsim(args, options.fsim, options.fsim_points)) return 2;
-  if (options.auto_partition && options.fsim) {
-    std::fprintf(stderr,
-                 "--auto-partition requires --fsim off (the fault-simulation "
-                 "registry is shared across partitions)\n");
-    return 2;
-  }
   const auto result = rcs::core::run_campaign(options);
   summary.add(result);
   std::printf("%s", result.trace.c_str());
@@ -642,7 +546,6 @@ int run_coverage_sweep(const Args& args, RunSummary& summary) {
         options.delta_checkpoint = spec.delta;
         options.transition_to = spec.transition_to;
         options.fsim_points = fsim_points;
-        options.threads = args.threads;
         const auto result = rcs::core::run_campaign(options);
         ++campaigns;
         summary.add(result);

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 
+#include "cli.hpp"
 #include "rcs/common/logging.hpp"
 #include "rcs/ftm/config.hpp"
 #include "rcs/gateway/bridge.hpp"
@@ -32,6 +33,8 @@
 #include "rcs/load/scenario.hpp"
 
 namespace {
+
+using rcs::cli::parse_flag;
 
 std::atomic<bool> g_stop{false};
 
@@ -55,7 +58,6 @@ struct Args {
   // --- headless mode (mirrors load_runner --scenario adapt) ---
   std::size_t clients{30};
   double bandwidth_bps{12'500'000.0};
-  int threads{0};
   bool verbose{false};
 };
 
@@ -67,7 +69,7 @@ void usage() {
       "                      [--workers N] [--quantum-ms MS]\n"
       "                      [--snapshot-ms MS] [--verbose]\n"
       "       gateway_runner --headless [--seed S] [--clients N] [--rps R]\n"
-      "                      [--bandwidth BPS] [--threads N]");
+      "                      [--bandwidth BPS]");
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -76,63 +78,45 @@ bool parse_args(int argc, char** argv, Args& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    const auto next_num = [&](double& slot) {
-      const char* v = next();
-      if (!v) return false;
-      slot = std::atof(v);
-      return true;
-    };
     if (arg == "--headless") {
       args.headless = true;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_flag(arg, next(), 0, UINT64_MAX, args.seed)) return false;
     } else if (arg == "--bind") {
       const char* v = next();
       if (!v) return false;
       args.bind = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (!v) return false;
-      args.port = std::atoi(v);
+      if (!parse_flag(arg, next(), 0, 65'535, args.port)) return false;
     } else if (arg == "--port-file") {
       const char* v = next();
       if (!v) return false;
       args.port_file = v;
     } else if (arg == "--speed") {
-      if (!next_num(args.speed)) return false;
+      if (!parse_flag(arg, next(), 0.0, 1e6, args.speed)) return false;
     } else if (arg == "--duration") {
-      if (!next_num(args.duration_s)) return false;
+      if (!parse_flag(arg, next(), 0.0, 1e9, args.duration_s)) return false;
     } else if (arg == "--fleet") {
-      const char* v = next();
-      if (!v) return false;
-      args.fleet = static_cast<std::size_t>(std::atoi(v));
+      if (!parse_flag(arg, next(), 0, 100'000, args.fleet)) return false;
     } else if (arg == "--rps") {
-      if (!next_num(args.rps)) return false;
+      if (!parse_flag(arg, next(), 1e-3, 1e6, args.rps)) return false;
     } else if (arg == "--console") {
       const char* v = next();
       if (!v) return false;
       args.console = v;
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      args.workers = std::atoi(v);
+      if (!parse_flag(arg, next(), 1, 1024, args.workers)) return false;
     } else if (arg == "--quantum-ms") {
-      if (!next_num(args.quantum_ms)) return false;
+      // Both periods are whole virtual microseconds, so 1 us is the floor.
+      if (!parse_flag(arg, next(), 1e-3, 1e6, args.quantum_ms)) return false;
     } else if (arg == "--snapshot-ms") {
-      if (!next_num(args.snapshot_ms)) return false;
+      if (!parse_flag(arg, next(), 1e-3, 1e9, args.snapshot_ms)) return false;
     } else if (arg == "--clients") {
-      const char* v = next();
-      if (!v) return false;
-      args.clients = static_cast<std::size_t>(std::atoi(v));
+      if (!parse_flag(arg, next(), 1, 100'000, args.clients)) return false;
     } else if (arg == "--bandwidth") {
-      if (!next_num(args.bandwidth_bps)) return false;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      args.threads = std::atoi(v);
-      if (args.threads < 0) return false;
+      if (!parse_flag(arg, next(), 1.0, 1e12, args.bandwidth_bps)) {
+        return false;
+      }
     } else if (arg == "--verbose") {
       args.verbose = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -157,11 +141,10 @@ int run_headless(const Args& args) {
   if (args.bandwidth_bps != 12'500'000.0) {
     options.replica_bandwidth_bps = args.bandwidth_bps;
   }
-  options.threads = args.threads;
   const auto result = rcs::load::run_adapt_scenario(options);
   std::fputs(result.trace.c_str(), stdout);
   std::fprintf(stderr, "headless: %llu events, %s\n",
-               static_cast<unsigned long long>(result.events),
+               static_cast<unsigned long long>(result.run_stats.events),
                result.passed ? "passed" : "FAILED");
   return result.passed ? 0 : 1;
 }

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli.hpp"
 #include "rcs/common/logging.hpp"
 #include "rcs/core/chaos_campaign.hpp"
 
@@ -273,9 +274,9 @@ bool parse_args(int argc, char** argv, Args& args) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!rcs::cli::parse_flag(arg, next(), 0, UINT64_MAX, args.seed)) {
+        return false;
+      }
     } else if (arg == "--ftm") {
       const char* v = next();
       if (!v) return false;
