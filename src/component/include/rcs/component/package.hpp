@@ -8,10 +8,17 @@
 // A HostLibrary is the set of types installed on one host; Composite::add
 // refuses types the library does not have — this is what forces missing
 // bricks to be uploaded before a transition can run.
+//
+// Artifact bytes are immutable once built, so package entries share them
+// within a host: copying an entry or a package copies a pointer, never the
+// code. Sharing stops at the simulated wire: decode() gives each receiving
+// host its own buffer, and HostLibrary::install verifies the checksum over
+// that host's copy on every install.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,10 +28,38 @@
 
 namespace rcs::comp {
 
+/// Immutable, refcounted byte buffer: a std::shared_ptr<const Bytes> that
+/// reads as the bytes it holds. Copies share the buffer; equality compares
+/// contents. Changing the bytes means building a new buffer.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  explicit SharedBytes(Bytes bytes)
+      : bytes_(std::make_shared<const Bytes>(std::move(bytes))) {}
+
+  [[nodiscard]] const Bytes& bytes() const { return bytes_ ? *bytes_ : empty(); }
+  operator const Bytes&() const { return bytes(); }  // NOLINT: by design
+  [[nodiscard]] std::size_t size() const { return bytes().size(); }
+
+  /// True when both hold the very same buffer (not merely equal bytes).
+  [[nodiscard]] bool shares(const SharedBytes& other) const {
+    return bytes_ == other.bytes_;
+  }
+  bool operator==(const SharedBytes& other) const { return bytes() == other.bytes(); }
+
+ private:
+  static const Bytes& empty() {
+    static const Bytes kEmpty;
+    return kEmpty;
+  }
+
+  std::shared_ptr<const Bytes> bytes_;
+};
+
 struct PackageEntry {
   std::string type_name;
   std::uint32_t version{1};
-  Bytes code;
+  SharedBytes code;
   std::uint64_t checksum{0};  // fnv1a(code)
 
   [[nodiscard]] static PackageEntry for_type(const ComponentTypeInfo& info);
@@ -44,7 +79,11 @@ class ComponentPackage {
   void add_type(const ComponentRegistry& registry, const std::string& type_name);
 
   [[nodiscard]] Bytes encode() const;
+  /// A package with its own copy of every artifact (one host's receive).
   [[nodiscard]] static ComponentPackage decode(const Bytes& data);
+  /// Number of entries in an encoded package, read from its header without
+  /// decoding any artifact.
+  [[nodiscard]] static std::size_t entry_count(const Bytes& data);
 
  private:
   std::string name_;

@@ -36,7 +36,7 @@ PackageEntry PackageEntry::for_type(const ComponentTypeInfo& info) {
   PackageEntry entry;
   entry.type_name = info.type_name;
   entry.version = info.version;
-  entry.code = synthesize_code(info);
+  entry.code = SharedBytes(synthesize_code(info));
   entry.checksum = fnv1a(entry.code);
   return entry;
 }
@@ -73,11 +73,17 @@ ComponentPackage ComponentPackage::decode(const Bytes& data) {
     PackageEntry entry;
     entry.type_name = r.read_string();
     entry.version = r.read_u32();
-    entry.code = r.read_bytes();
+    entry.code = SharedBytes(r.read_bytes());
     entry.checksum = r.read_u64();
     package.add(std::move(entry));
   }
   return package;
+}
+
+std::size_t ComponentPackage::entry_count(const Bytes& data) {
+  ByteReader r(data);
+  (void)r.read_string();
+  return r.read_varint();
 }
 
 Status HostLibrary::install(const PackageEntry& entry) {

@@ -95,12 +95,14 @@ void AdaptationEngine::dispatch(const std::string& verb, std::uint64_t txn,
                                 Value message,
                                 const std::vector<HostId>& targets) {
   auto& pending = pending_.at(txn);
-  for (const auto& target : targets) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const HostId target = targets[i];
     ReplicaOutcome outcome;
     outcome.host = target;
     pending.report.replicas.push_back(outcome);
 
-    Value payload = message;  // per-target copy
+    // Each target gets its own copy; the last one takes the original.
+    Value payload = i + 1 < targets.size() ? message : std::move(message);
     payload.set("txn", static_cast<std::int64_t>(txn));
     if (verb == "adapt.apply" && sabotage_ && *sabotage_ == target) {
       payload.set("sabotage", true);
@@ -131,9 +133,7 @@ void AdaptationEngine::deploy_initial(const ftm::FtmConfig& config,
     auto& report = pending_.at(txn).report;
     report.package_bytes = package.encoded_size();
     report.components_shipped = static_cast<int>(
-        comp::ComponentPackage::decode(package.at("components").as_bytes())
-            .entries()
-            .size());
+        comp::ComponentPackage::entry_count(package.at("components").as_bytes()));
 
     for (std::size_t i = 0; i < targets.size(); ++i) {
       ftm::DeployParams params;
@@ -179,10 +179,9 @@ void AdaptationEngine::transition(const ftm::FtmConfig& target,
                                    targets.size(), std::move(callback));
         auto& report = pending_.at(txn).report;
         report.package_bytes = package.encoded_size();
-        report.components_shipped = static_cast<int>(
-            comp::ComponentPackage::decode(package.at("components").as_bytes())
-                .entries()
-                .size());
+        report.components_shipped =
+            static_cast<int>(comp::ComponentPackage::entry_count(
+                package.at("components").as_bytes()));
 
         Value message = Value::map();
         message.set("package", package).set("target", target.to_value());
@@ -211,10 +210,9 @@ void AdaptationEngine::transition_monolithic(const ftm::FtmConfig& target,
                                    targets.size(), std::move(callback));
         auto& report = pending_.at(txn).report;
         report.package_bytes = package.encoded_size();
-        report.components_shipped = static_cast<int>(
-            comp::ComponentPackage::decode(package.at("components").as_bytes())
-                .entries()
-                .size());
+        report.components_shipped =
+            static_cast<int>(comp::ComponentPackage::entry_count(
+                package.at("components").as_bytes()));
 
         for (std::size_t i = 0; i < targets.size(); ++i) {
           ftm::DeployParams params;

@@ -8,13 +8,21 @@
 // (the off-line "development of transition packages") and cached. Transfer
 // time is paid on the wire: package payloads carry the full artifact bytes.
 //
+// Each artifact is built once per (type, version) and memoized as an
+// immutable buffer: cached full and transition packages and every refresh
+// package reference that one buffer instead of holding a copy. The bytes are
+// shared only within the repository's host; every receiver decodes its own
+// copy and verifies its checksum on install.
+//
 // Message protocol:
 //   in:  "repo.fetch"   {txn, kind: "full"|"transition", to, from?, app}
 //   out: "repo.package" {txn, ok, name, components: bytes, script, error?}
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "rcs/component/package.hpp"
 #include "rcs/component/registry.hpp"
@@ -33,7 +41,6 @@ struct TransitionPackage {
 
   [[nodiscard]] Value to_value() const;
   [[nodiscard]] static TransitionPackage from_value(const Value& value);
-  [[nodiscard]] std::size_t wire_size() const;
 };
 
 class Repository {
@@ -53,13 +60,16 @@ class Repository {
       const ftm::AppSpec& app);
 
   /// Package refreshing one slot of `config` with a new build of the same
-  /// brick (an FTM *update*, §3.2.1). Not cached: an update ships a new
-  /// artifact every time.
+  /// brick (an FTM *update*, §3.2.1). Built per request and not cached; its
+  /// artifact is the memoized one.
   [[nodiscard]] TransitionPackage refresh_package(const ftm::FtmConfig& config,
                                                   const std::string& slot,
                                                   const ftm::AppSpec& app);
 
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
+
+  /// The memoized artifact for the registered type's current version.
+  [[nodiscard]] const comp::PackageEntry& artifact(const std::string& type_name);
 
  private:
   void handle_fetch(const Value& request, HostId requester);
@@ -68,6 +78,7 @@ class Repository {
   sim::Host& host_;
   const comp::ComponentRegistry* registry_;
   std::map<std::string, TransitionPackage> cache_;
+  std::map<std::pair<std::string, std::uint32_t>, comp::PackageEntry> artifacts_;
 };
 
 }  // namespace rcs::core

@@ -24,10 +24,6 @@ TransitionPackage TransitionPackage::from_value(const Value& value) {
   return package;
 }
 
-std::size_t TransitionPackage::wire_size() const {
-  return to_value().encoded_size();
-}
-
 Repository::Repository(sim::Host& host, const comp::ComponentRegistry* registry)
     : host_(host), registry_(registry) {
   host_.register_handler("repo.fetch", [this](const sim::Message& message) {
@@ -39,6 +35,15 @@ const comp::ComponentRegistry& Repository::registry() const {
   return registry_ ? *registry_ : comp::ComponentRegistry::instance();
 }
 
+const comp::PackageEntry& Repository::artifact(const std::string& type_name) {
+  const auto& info = registry().info(type_name);
+  auto key = std::make_pair(type_name, info.version);
+  const auto it = artifacts_.find(key);
+  if (it != artifacts_.end()) return it->second;
+  return artifacts_.emplace(std::move(key), comp::PackageEntry::for_type(info))
+      .first->second;
+}
+
 const TransitionPackage& Repository::full_package(const ftm::FtmConfig& config,
                                                   const ftm::AppSpec& app) {
   const std::string key = strf("full:", config.name, ":", app.type_name);
@@ -48,12 +53,12 @@ const TransitionPackage& Repository::full_package(const ftm::FtmConfig& config,
   TransitionPackage package;
   package.name = key;
   comp::ComponentPackage components(key);
-  components.add_type(registry(), ftm::kernel::kProtocol);
-  components.add_type(registry(), ftm::kernel::kReplyLog);
-  components.add_type(registry(), ftm::kernel::kFailureDetector);
-  components.add_type(registry(), app.type_name);
+  components.add(artifact(ftm::kernel::kProtocol));
+  components.add(artifact(ftm::kernel::kReplyLog));
+  components.add(artifact(ftm::kernel::kFailureDetector));
+  components.add(artifact(app.type_name));
   for (const auto& brick : config.brick_types()) {
-    components.add_type(registry(), brick);
+    components.add(artifact(brick));
   }
   package.components = std::move(components);
   package.script = ftm::ScriptBuilder(registry()).deployment_script(config, app);
@@ -72,7 +77,7 @@ const TransitionPackage& Repository::transition_package(
   package.name = key;
   comp::ComponentPackage components(key);
   for (const auto& brick : ftm::ScriptBuilder::transition_new_types(from, to)) {
-    components.add_type(registry(), brick);
+    components.add(artifact(brick));
   }
   package.components = std::move(components);
   package.script = ftm::ScriptBuilder(registry()).transition_script(from, to, app);
@@ -88,7 +93,7 @@ TransitionPackage Repository::refresh_package(const ftm::FtmConfig& config,
   const auto slots = ftm::FtmConfig::slot_names();
   const auto types = config.brick_types();
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == slot) components.add_type(registry(), types[i]);
+    if (slots[i] == slot) components.add(artifact(types[i]));
   }
   if (components.entries().empty()) {
     throw FtmError(strf("refresh_package: unknown slot '", slot, "'"));

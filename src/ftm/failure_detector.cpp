@@ -36,11 +36,10 @@ sim::Duration FailureDetectorComponent::timeout() const {
 }
 
 std::vector<std::int64_t> FailureDetectorComponent::peer_ids() {
-  const Value info = call("control", "info");
+  const Value group = call("control", "peers");
   std::vector<std::int64_t> peers;
-  for (const auto& entry : info.at("peers").as_list()) {
-    peers.push_back(entry.as_int());
-  }
+  peers.reserve(group.as_list().size());
+  for (const auto& entry : group.as_list()) peers.push_back(entry.as_int());
   return peers;
 }
 

@@ -18,7 +18,7 @@
 //   again  - re-run the current phase (used by assertion recovery)
 //   fail   - abort with {"error": msg}; the client gets an error reply
 // Bricks reach the kernel back through the "control" service (send_peer,
-// resume, resume_after, report_fault, start_forwarded, stash, info).
+// resume, resume_after, report_fault, start_forwarded, stash, info, peers).
 #pragma once
 
 #include <deque>
@@ -91,6 +91,8 @@ class ProtocolKernel : public comp::Component {
   [[nodiscard]] std::size_t buffered() const {
     return buffered_requests_.size() + buffered_forwarded_.size();
   }
+  /// Early peer messages parked until a context waits for them.
+  [[nodiscard]] std::size_t stashed() const { return stash_.size(); }
 
  protected:
   // Services:

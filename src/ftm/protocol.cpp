@@ -648,6 +648,12 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
 // ---------------------------------------------------------------------------
 
 Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args) {
+  if (op == "peers") {
+    ValueList peers;
+    peers.reserve(peers_.size());
+    for (const auto peer : peers_) peers.emplace_back(peer);
+    return peers;
+  }
   if (op == "info") {
     Value peers = Value::list();
     for (const auto peer : peers_) peers.push_back(peer);

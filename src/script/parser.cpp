@@ -17,7 +17,7 @@ class Parser {
     Script script;
     if (peek().kind == TokenKind::kKeyword && peek().text == "script") {
       advance();
-      script.name = expect(TokenKind::kIdent, "script name").text;
+      script.name = std::move(expect(TokenKind::kIdent, "script name").text);
       expect(TokenKind::kLBrace, "'{' after script name");
       script.statements = parse_statements_until(TokenKind::kRBrace);
       expect(TokenKind::kRBrace, "'}' closing script body");
@@ -29,6 +29,24 @@ class Parser {
   }
 
  private:
+  /// Expressions and if-blocks parse recursively. Input nested deeper than
+  /// this is rejected rather than allowed to overflow the stack.
+  static constexpr int kMaxDepth = 256;
+
+  /// One level of recursion, counted for the duration of a parse call.
+  class Nested {
+   public:
+    explicit Nested(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxDepth) parser_.fail("nesting too deep");
+    }
+    ~Nested() { --parser_.depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   [[noreturn]] void fail(const std::string& message) const {
     throw ScriptException(strf("parse error (line ", peek().line, "): ",
                                message, ", got ", to_string(peek().kind),
@@ -36,7 +54,9 @@ class Parser {
   }
 
   const Token& peek() const { return tokens_[pos_]; }
-  const Token& advance() { return tokens_[pos_++]; }
+  /// Consume the current token. fail() only ever reads the current token, so
+  /// callers may move text and literals out of a consumed one.
+  Token& advance() { return tokens_[pos_++]; }
 
   bool match(TokenKind kind) {
     if (peek().kind != kind) return false;
@@ -44,7 +64,7 @@ class Parser {
     return true;
   }
 
-  const Token& expect(TokenKind kind, const std::string& what) {
+  Token& expect(TokenKind kind, const char* what) {
     if (peek().kind != kind) fail(strf("expected ", what));
     return advance();
   }
@@ -73,7 +93,7 @@ class Parser {
     if (at_keyword("if")) return parse_if();
     if (at_keyword("let")) {
       advance();
-      auto name = expect(TokenKind::kIdent, "variable name").text;
+      auto name = std::move(expect(TokenKind::kIdent, "variable name").text);
       expect(TokenKind::kAssign, "'=' in let binding");
       auto expr = parse_expr();
       expect(TokenKind::kSemicolon, "';' after let binding");
@@ -91,19 +111,25 @@ class Parser {
       stmt->node = RequireStmt{std::move(condition)};
       return stmt;
     }
-    // Verb statement: ident(args);
-    const auto verb = expect(TokenKind::kIdent, "statement").text;
-    expect(TokenKind::kLParen, strf("'(' after verb '", verb, "'"));
+    // Verb statement: ident(args); The messages naming the verb are built
+    // only when the check fails: this runs on every statement.
+    auto verb = std::move(expect(TokenKind::kIdent, "statement").text);
+    if (!match(TokenKind::kLParen)) {
+      fail(strf("expected '(' after verb '", verb, "'"));
+    }
     auto args = parse_args();
     expect(TokenKind::kRParen, "')' closing argument list");
-    expect(TokenKind::kSemicolon, strf("';' after ", verb, "(...)"));
+    if (!match(TokenKind::kSemicolon)) {
+      fail(strf("expected ';' after ", verb, "(...)"));
+    }
     auto stmt = std::make_unique<Stmt>();
     stmt->line = line;
-    stmt->node = VerbStmt{verb, std::move(args)};
+    stmt->node = VerbStmt{std::move(verb), std::move(args)};
     return stmt;
   }
 
   StmtPtr parse_if() {
+    const Nested nested(*this);
     const int line = peek().line;
     advance();  // 'if'
     expect(TokenKind::kLParen, "'(' after if");
@@ -129,6 +155,7 @@ class Parser {
   std::vector<ExprPtr> parse_args() {
     std::vector<ExprPtr> args;
     if (peek().kind == TokenKind::kRParen) return args;
+    args.reserve(4);  // the most any verb takes (wire, unwire)
     args.push_back(parse_expr());
     while (match(TokenKind::kComma)) args.push_back(parse_expr());
     return args;
@@ -168,6 +195,7 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
+    const Nested nested(*this);
     if (peek().kind == TokenKind::kNot) {
       const int line = advance().line;
       auto operand = parse_unary();
@@ -187,8 +215,7 @@ class Parser {
       case TokenKind::kString:
       case TokenKind::kInt:
       case TokenKind::kFloat:
-        expr->node = LiteralExpr{token.literal};
-        advance();
+        expr->node = LiteralExpr{std::move(advance().literal)};
         return expr;
       case TokenKind::kKeyword:
         if (token.text == "true") {
@@ -208,13 +235,13 @@ class Parser {
         }
         fail("unexpected keyword in expression");
       case TokenKind::kIdent: {
-        const std::string name = advance().text;
+        std::string name = std::move(advance().text);
         if (match(TokenKind::kLParen)) {
           auto args = parse_args();
           expect(TokenKind::kRParen, "')' closing call");
-          expr->node = CallExpr{name, std::move(args)};
+          expr->node = CallExpr{std::move(name), std::move(args)};
         } else {
-          expr->node = VarExpr{name};
+          expr->node = VarExpr{std::move(name)};
         }
         return expr;
       }
@@ -238,6 +265,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_{0};
+  int depth_{0};
 };
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rcs/core/repository.hpp"
+#include "rcs/sim/simulation.hpp"
 #include "test_types.hpp"
 
 namespace rcs::comp {
@@ -51,7 +53,9 @@ TEST_F(PackageFixture, LibraryInstallAndQuery) {
 TEST_F(PackageFixture, InstallRejectsCorruptedCode) {
   HostLibrary library;
   auto entry = PackageEntry::for_type(registry.info("test.echo"));
-  entry.code[0] ^= 0xFF;  // bit-flip in transit
+  Bytes corrupted = entry.code;  // artifact buffers are immutable: copy
+  corrupted[0] ^= 0xFF;  // bit-flip in transit
+  entry.code = SharedBytes(std::move(corrupted));
   const Status s = library.install(entry);
   EXPECT_EQ(s.code(), ErrorCode::kFailedPrecondition);
   EXPECT_FALSE(library.installed("test.echo"));
@@ -105,6 +109,58 @@ TEST_F(PackageFixture, TotalCodeSizeSumsEntries) {
   package.add_type(registry, "test.upper");
   EXPECT_EQ(package.total_code_size(),
             one + registry.info("test.upper").code_size);
+}
+
+struct RepositoryArtifacts : PackageFixture {
+  sim::Simulation sim{1};
+  core::Repository repository{sim.add_host("repository"), &registry};
+};
+
+TEST_F(RepositoryArtifacts, MemoizedEntryMatchesAFreshBuild) {
+  const PackageEntry& memo = repository.artifact("test.echo");
+  const auto fresh = PackageEntry::for_type(registry.info("test.echo"));
+  EXPECT_EQ(memo.type_name, fresh.type_name);
+  EXPECT_EQ(memo.version, fresh.version);
+  EXPECT_EQ(memo.code, fresh.code);
+  EXPECT_EQ(memo.checksum, fresh.checksum);
+  EXPECT_TRUE(repository.artifact("test.echo").code.shares(memo.code))
+      << "one buffer per (type, version)";
+  EXPECT_FALSE(repository.artifact("test.upper").code.shares(memo.code));
+}
+
+TEST_F(RepositoryArtifacts, CorruptingAReceiversCopyLeavesTheArtifactIntact) {
+  const PackageEntry& memo = repository.artifact("test.echo");
+  const std::uint64_t checksum = memo.checksum;
+  const Bytes original = memo.code;
+  ComponentPackage package("p");
+  package.add(memo);
+  ASSERT_TRUE(package.entries()[0].code.shares(memo.code));
+  const Bytes wire = package.encode();
+
+  // The receiver decodes its own buffer, then corrupts it in memory.
+  const auto received = ComponentPackage::decode(wire);
+  ASSERT_FALSE(received.entries()[0].code.shares(memo.code));
+  PackageEntry corrupted = received.entries()[0];
+  Bytes flipped = corrupted.code;
+  flipped[0] ^= 0xFF;
+  corrupted.code = SharedBytes(std::move(flipped));
+  HostLibrary receiver;
+  EXPECT_EQ(receiver.install(corrupted).code(), ErrorCode::kFailedPrecondition);
+
+  EXPECT_EQ(repository.artifact("test.echo").code.bytes(), original);
+  EXPECT_EQ(repository.artifact("test.echo").checksum, checksum);
+  EXPECT_EQ(fnv1a(repository.artifact("test.echo").code), checksum);
+  HostLibrary second;
+  EXPECT_TRUE(second.install(ComponentPackage::decode(wire)).is_ok());
+  EXPECT_TRUE(second.installed("test.echo"));
+}
+
+TEST_F(PackageFixture, EntryCountReadsTheHeaderOnly) {
+  ComponentPackage package("transition:pbr->lfr");
+  EXPECT_EQ(ComponentPackage::entry_count(package.encode()), 0u);
+  package.add_type(registry, "test.echo");
+  package.add_type(registry, "test.upper");
+  EXPECT_EQ(ComponentPackage::entry_count(package.encode()), 2u);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Allocation guards for the request path.
+// Allocation guards for the request path and the adaptation path.
 //
 // Every component call carries its arguments and results as Value maps, so
 // the heap cost of a map copy and of a whole steady-state request are the
-// figures that regress first. These tests count calls to the global
-// operator new, as tests/common/encoded_size_test.cpp does, and fail when a
+// figures that regress first. A differential transition ships ~30 KB of
+// artifact bytes, so its heap bytes show every extra copy of a package.
+// These tests count calls to the global operator new (and the bytes they
+// ask for), as tests/common/encoded_size_test.cpp does, and fail when a
 // change puts allocations back on the path. The ceilings sit about 10% above
 // the counts measured when they were set; lower them when a change removes
 // more.
@@ -23,16 +25,19 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_heap_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++g_allocations;
+  g_heap_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
   ++g_allocations;
+  g_heap_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -107,6 +112,42 @@ TEST(RequestAllocations, TrRoundtripStaysUnderCeiling) {
   const double allocs = allocs_per_request(ftm::FtmConfig::tr());
   RecordProperty("allocs_per_request", std::to_string(allocs));
   EXPECT_LT(allocs, 58.0);  // 52 when set; 271 with tree maps
+}
+
+/// Mean allocations and heap bytes per steady-state differential transition,
+/// over PBR -> LFR -> PBR cycles on a deployed duplex. The first cycles fill
+/// the repository's package cache and are not measured.
+struct TransitionCost {
+  double allocs;
+  double heap_bytes;
+};
+
+TransitionCost cost_per_transition() {
+  SystemOptions options;
+  options.replica_count = 2;
+  options.start_monitoring = false;
+  ResilientSystem system(options);
+  EXPECT_TRUE(system.deploy_and_wait(ftm::FtmConfig::pbr()).ok);
+  const auto cycle = [&system] {
+    EXPECT_TRUE(system.transition_and_wait(ftm::FtmConfig::lfr()).ok);
+    EXPECT_TRUE(system.transition_and_wait(ftm::FtmConfig::pbr()).ok);
+  };
+  for (int i = 0; i < 2; ++i) cycle();
+  constexpr int kCycles = 5;
+  const std::size_t allocs_before = g_allocations.load();
+  const std::size_t bytes_before = g_heap_bytes.load();
+  for (int i = 0; i < kCycles; ++i) cycle();
+  constexpr double kTransitions = 2.0 * kCycles;
+  return {static_cast<double>(g_allocations.load() - allocs_before) / kTransitions,
+          static_cast<double>(g_heap_bytes.load() - bytes_before) / kTransitions};
+}
+
+TEST(TransitionAllocs, PbrLfrCycleStaysUnderCeilings) {
+  const TransitionCost cost = cost_per_transition();
+  RecordProperty("allocs_per_transition", std::to_string(cost.allocs));
+  RecordProperty("heap_bytes_per_transition", std::to_string(cost.heap_bytes));
+  EXPECT_LT(cost.allocs, 1030.0);  // 936 when set; 1711 with copied artifacts
+  EXPECT_LT(cost.heap_bytes, 380000.0);  // 345 286 when set; 990 397 with copies
 }
 
 }  // namespace

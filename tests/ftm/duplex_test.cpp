@@ -207,6 +207,19 @@ TEST_F(Fixture, LfrKeepsBandwidthLowButBothReplicasCompute) {
               static_cast<double>(h0.meter().cpu_used()) * 0.2);
 }
 
+TEST_F(Fixture, AssertLfrFollowerStashesNoNotifications) {
+  // The A&LFR follower completes without waiting for the leader's
+  // notification, so a stashed one would never be taken out again: the
+  // follower's stash used to grow by one entry per request.
+  deploy(FtmConfig::a_lfr());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_FALSE(roundtrip(kv_incr("ctr")).has("error"));
+  }
+  sim.run_for(1 * sim::kSecond);
+  EXPECT_EQ(rt0.kernel().counters().notifications, 20u);
+  EXPECT_EQ(rt1.kernel().stashed(), 0u);
+}
+
 TEST_F(Fixture, StablStorageRecordsActiveConfiguration) {
   deploy(FtmConfig::lfr_tr());
   const auto persisted = FtmRuntime::load_persisted(h0);

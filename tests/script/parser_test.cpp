@@ -126,6 +126,36 @@ TEST(Parser, MissingParenThrows) {
   EXPECT_THROW((void)parse(R"(stop("a";)"), ScriptException);
 }
 
+/// The message of the ScriptException `source` raises.
+std::string parse_error(const std::string& source) {
+  try {
+    (void)parse(source);
+  } catch (const ScriptException& e) {
+    return e.what();
+  }
+  return "(parsed)";
+}
+
+TEST(Parser, VerbStatementErrorMessagesNameTheVerb) {
+  EXPECT_EQ(parse_error(R"(add "t.a", "a";)"),
+            "parse error (line 1): expected '(' after verb 'add', got string 't.a'");
+  EXPECT_EQ(parse_error("stop(\"a\");\nadd(\"t.a\", \"a\")"),
+            "parse error (line 2): expected ';' after add(...), got end of script");
+}
+
+TEST(Parser, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  EXPECT_NO_THROW((void)parse("require " + std::string(200, '!') + "true;"));
+  for (const char* open : {"!", "(", "exists("}) {
+    std::string deep = "require ";
+    for (int i = 0; i < 100000; ++i) deep += open;
+    deep += "true;";
+    EXPECT_THROW((void)parse(deep), ScriptException) << open;
+  }
+  std::string ifs;
+  for (int i = 0; i < 100000; ++i) ifs += "if (true) {";
+  EXPECT_THROW((void)parse(ifs), ScriptException);
+}
+
 TEST(Parser, DanglingBraceThrows) {
   EXPECT_THROW((void)parse("script x { stop(\"a\");"), ScriptException);
   EXPECT_THROW((void)parse("}"), ScriptException);
