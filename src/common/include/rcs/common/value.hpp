@@ -10,21 +10,30 @@
 // or a string-keyed map. Values serialize to Bytes with a stable binary
 // encoding (used for checkpoints and for sizing simulated network traffic).
 //
-// Maps are FlatMaps: one sorted vector of (key, Value) members, in the key
-// order std::map<std::string, Value> would use, so every encoding, digest and
-// rendering is the one a tree map gives. Copying a map costs one allocation
-// for its member block (plus whatever the members own), not one per member.
+// Maps are FlatMaps: sorted (key, Value) members, in the key order
+// std::map<std::string, Value> would use, so every encoding, digest and
+// rendering is the one a tree map gives. The members live in one refcounted
+// block together with the map's size and capacity; an empty map has no block.
+// Copying a map shares its block and allocates nothing. The first mutation of
+// a shared block (set, operator[], emplace, erase, a growing reserve) clones
+// it, so a map copy behaves as a deep copy. Reading never clones: iterators
+// and find() are const-only. The refcount is atomic, so threads may copy one
+// shared const map concurrently.
 //
-// Invalidation rule: inserting into a map (set() or operator[] on a new key,
-// emplace) or erasing from it may move every member, so it invalidates all
-// references, pointers and iterators into that map, including a `const
-// Value&` obtained from at(). Copy a member out before inserting into the
-// same map; references into other maps are unaffected.
+// Invalidation rule: any mutation of a map may move every member, so it
+// invalidates all references, pointers and iterators into that map, including
+// a `const Value&` obtained from at(). Copy a member out before mutating the
+// same map; references into other maps, copies included, are unaffected. A
+// mutable reference from operator[] (or from as_map() of a member) must not
+// be held across a copy of the same map: writing through it afterwards would
+// change the copy too.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
+#include <new>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,97 +46,164 @@ namespace rcs {
 
 class Value;
 
-/// Sorted vector map with the subset of the std::map API that Value needs.
-/// Keys compare as std::string does; an insert never overwrites an existing
-/// key. See the invalidation rule at the top of this file.
+/// Copy-on-write sorted map with the subset of the std::map API that Value
+/// needs. Keys compare as std::string does; an insert never overwrites an
+/// existing key. See the sharing and invalidation rules at the top of this
+/// file. The slow paths (allocate, clone, grow, destroy) are defined in
+/// value.cpp, which instantiates FlatMap<Value>.
 template <typename V>
 class FlatMap {
  public:
   using value_type = std::pair<std::string, V>;
-  using iterator = typename std::vector<value_type>::iterator;
-  using const_iterator = typename std::vector<value_type>::const_iterator;
+  using const_iterator = const value_type*;
 
   FlatMap() = default;
   /// As for std::map, the first of several equal keys wins.
   FlatMap(std::initializer_list<value_type> members) {
-    items_.reserve(members.size());
+    reserve(members.size());
     for (const auto& [key, value] : members) emplace(key, value);
   }
-
-  [[nodiscard]] iterator begin() { return items_.begin(); }
-  [[nodiscard]] iterator end() { return items_.end(); }
-  [[nodiscard]] const_iterator begin() const { return items_.begin(); }
-  [[nodiscard]] const_iterator end() const { return items_.end(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  void reserve(std::size_t n) { items_.reserve(n); }
-
-  [[nodiscard]] iterator find(std::string_view key) {
-    const auto it = position(key);
-    return it != items_.end() && it->first == key ? it : items_.end();
+  // Not noexcept, though it cannot throw: std::variant then assigns a map to
+  // a Value of another type through a temporary copy, so `value =
+  // value.at(0)` stays safe when destroying the old list frees the member.
+  FlatMap(const FlatMap& other) : block_(other.block_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
   }
+  FlatMap(FlatMap&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  FlatMap& operator=(const FlatMap& other) {
+    FlatMap(other).swap(*this);
+    return *this;
+  }
+  FlatMap& operator=(FlatMap&& other) noexcept {
+    FlatMap(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~FlatMap() { release(); }
+
+  [[nodiscard]] const_iterator begin() const {
+    return block_ == nullptr ? nullptr : items(block_);
+  }
+  [[nodiscard]] const_iterator end() const { return begin() + size(); }
+  [[nodiscard]] std::size_t size() const {
+    return block_ == nullptr ? 0 : block_->size;
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  /// Room for `n` members; never shrinks, and clones a shared block only
+  /// when it has to grow.
+  void reserve(std::size_t n) {
+    if (n > capacity()) reallocate(n);
+  }
+
   [[nodiscard]] const_iterator find(std::string_view key) const {
-    return const_cast<FlatMap*>(this)->find(key);
+    const auto at = position(key);
+    return at != size() && items(block_)[at].first == key ? begin() + at
+                                                           : end();
   }
   [[nodiscard]] bool contains(std::string_view key) const {
     return find(key) != end();
   }
 
   /// Insert unless `key` is present; returns the member and whether it is new.
-  std::pair<iterator, bool> emplace(std::string key, V value) {
-    const auto it = position(key);
-    if (it != items_.end() && it->first == key) return {it, false};
-    return {insert(it, std::move(key), std::move(value)), true};
+  std::pair<const_iterator, bool> emplace(std::string key, V value) {
+    const auto at = position(key);
+    if (at != size() && items(block_)[at].first == key) {
+      return {begin() + at, false};
+    }
+    return {&insert(at, std::move(key), std::move(value)), true};
   }
 
   /// The member for `key`, default-constructed first if missing.
   V& operator[](std::string_view key) {
-    auto it = position(key);
-    if (it == items_.end() || it->first != key) {
-      it = insert(it, std::string(key), V{});
+    const auto at = position(key);
+    if (at == size() || items(block_)[at].first != key) {
+      return insert(at, std::string(key), V{}).second;
     }
-    return it->second;
+    if (!unique()) reallocate(size());
+    return items(block_)[at].second;
   }
 
   std::size_t erase(std::string_view key) {
     const auto it = find(key);
-    if (it == items_.end()) return 0;
-    items_.erase(it);
+    if (it == end()) return 0;
+    erase_at(static_cast<std::size_t>(it - begin()));
     return 1;
   }
-  iterator erase(const_iterator it) { return items_.erase(it); }
+  /// Erase the member `it` points at; returns the iterator to its successor.
+  const_iterator erase(const_iterator it) {
+    const auto at = static_cast<std::size_t>(it - begin());
+    erase_at(at);
+    return begin() + at;
+  }
 
-  bool operator==(const FlatMap&) const = default;
+  bool operator==(const FlatMap& other) const {
+    return size() == other.size() &&
+           (block_ == other.block_ || std::equal(begin(), end(), other.begin()));
+  }
 
  private:
-  /// First member whose key is not less than `key`. Members usually arrive in
-  /// key order (decode, copies of sorted sources), so a key past the last one
-  /// appends without a search.
-  [[nodiscard]] iterator position(std::string_view key) {
-    if (items_.empty() || std::string_view(items_.back().first) < key) {
-      return items_.end();
-    }
-    return std::lower_bound(items_.begin(), items_.end(), key,
-                            [](const value_type& item, std::string_view k) {
-                              return std::string_view(item.first) < k;
-                            });
+  /// Header of a member block; the members follow it in the same allocation.
+  struct Block {
+    std::atomic<std::uint32_t> refs;
+    std::uint32_t size;
+    std::uint32_t capacity;
+  };
+
+  /// Offset of the first member: the header rounded up to the member
+  /// alignment.
+  static constexpr std::size_t header_bytes() {
+    return (sizeof(Block) + alignof(value_type) - 1) / alignof(value_type) *
+           alignof(value_type);
+  }
+  static value_type* items(Block* block) {
+    return std::launder(reinterpret_cast<value_type*>(
+        reinterpret_cast<char*>(block) + header_bytes()));
   }
 
-  /// Insert before `it`. The first insert sizes the block for a few members
-  /// at once: maps on the request path are small and built one set() at a
-  /// time, and growing from capacity 1 would reallocate at sizes 1, 2 and 4.
-  iterator insert(iterator it, std::string key, V value) {
-    if (items_.size() == items_.capacity()) {
-      const auto offset = it - items_.begin();
-      items_.reserve(std::max<std::size_t>(kMinCapacity, 2 * items_.size()));
-      it = items_.begin() + offset;
+  void swap(FlatMap& other) noexcept { std::swap(block_, other.block_); }
+
+  [[nodiscard]] std::size_t capacity() const {
+    return block_ == nullptr ? 0 : block_->capacity;
+  }
+  /// True when no other map shares the block. A count of one cannot rise
+  /// concurrently: only a holder of the block can copy it.
+  [[nodiscard]] bool unique() const {
+    return block_->refs.load(std::memory_order_acquire) == 1;
+  }
+  void release() noexcept {
+    if (block_ != nullptr &&
+        (unique() || block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)) {
+      destroy(block_);
     }
-    return items_.emplace(it, std::move(key), std::move(value));
   }
 
-  static constexpr std::size_t kMinCapacity = 4;
+  /// Index of the first member whose key is not less than `key`. Members
+  /// usually arrive in key order (decode, copies of sorted sources), so a key
+  /// past the last one appends without a search.
+  [[nodiscard]] std::size_t position(std::string_view key) const {
+    const std::size_t n = size();
+    if (n == 0 || std::string_view(items(block_)[n - 1].first) < key) return n;
+    const value_type* first = items(block_);
+    return static_cast<std::size_t>(
+        std::lower_bound(first, first + n, key,
+                         [](const value_type& item, std::string_view k) {
+                           return std::string_view(item.first) < k;
+                         }) -
+        first);
+  }
 
-  std::vector<value_type> items_;
+  static Block* allocate(std::size_t capacity);
+  static void destroy(Block* block) noexcept;
+  /// Give this map a block of its own with room for `capacity` members:
+  /// moves the members out of an unshared block, copies a shared one. A
+  /// clone for an overwrite or erase is sized to the members, as a vector
+  /// copy would be.
+  void reallocate(std::size_t capacity);
+  /// Insert before index `at`, cloning or growing the block first if needed.
+  value_type& insert(std::size_t at, std::string key, V value);
+  void erase_at(std::size_t at);
+
+  Block* block_ = nullptr;
 };
 
 using ValueList = std::vector<Value>;
@@ -192,7 +268,7 @@ class Value {
   // --- Map helpers -----------------------------------------------------
   [[nodiscard]] bool has(std::string_view key) const;
   /// Member lookup; throws ValueError if not a map or key missing. The
-  /// reference dies at the next insert into this map (see the file comment).
+  /// reference dies at the next mutation of this map (see the file comment).
   [[nodiscard]] const Value& at(std::string_view key) const;
   /// Member lookup with default for missing keys (still throws if not map).
   [[nodiscard]] Value get_or(std::string_view key, Value fallback) const;

@@ -2,13 +2,95 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "rcs/common/error.hpp"
 #include "rcs/common/strf.hpp"
 
 namespace rcs {
+
+namespace {
+/// Capacity of a map's first block. Maps on the request path are small and
+/// built one set() at a time, so capacity 1 would reallocate at once; more
+/// than 2 costs memory, because every copy that outlives the build shares
+/// the block and keeps its slack alive (see EXPERIMENTS.md).
+constexpr std::size_t kMinCapacity = 2;
+}  // namespace
+
+template <typename V>
+typename FlatMap<V>::Block* FlatMap<V>::allocate(std::size_t capacity) {
+  if (capacity > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("FlatMap: too many members");
+  }
+  void* raw = ::operator new(header_bytes() + capacity * sizeof(value_type));
+  return ::new (raw) Block{1, 0, static_cast<std::uint32_t>(capacity)};
+}
+
+template <typename V>
+void FlatMap<V>::destroy(Block* block) noexcept {
+  std::destroy_n(items(block), block->size);
+  block->~Block();
+  ::operator delete(block);
+}
+
+template <typename V>
+void FlatMap<V>::reallocate(std::size_t capacity) {
+  Block* fresh = allocate(capacity);
+  const std::size_t n = size();
+  if (n > 0) {
+    if (unique()) {
+      std::uninitialized_move_n(items(block_), n, items(fresh));
+    } else {
+      try {
+        std::uninitialized_copy_n(items(block_), n, items(fresh));
+      } catch (...) {
+        ::operator delete(fresh);
+        throw;
+      }
+    }
+  }
+  fresh->size = static_cast<std::uint32_t>(n);
+  release();
+  block_ = fresh;
+}
+
+template <typename V>
+typename FlatMap<V>::value_type& FlatMap<V>::insert(std::size_t at,
+                                                    std::string key, V value) {
+  const std::size_t n = size();
+  if (n == capacity()) {
+    reallocate(std::max(kMinCapacity, 2 * n));
+  } else if (!unique()) {
+    reallocate(capacity());
+  }
+  value_type* data = items(block_);
+  if (at == n) {
+    ::new (data + n) value_type(std::move(key), std::move(value));
+  } else {
+    ::new (data + n) value_type(std::move(data[n - 1]));
+    std::move_backward(data + at, data + n - 1, data + n);
+    data[at].first = std::move(key);
+    data[at].second = std::move(value);
+  }
+  ++block_->size;
+  return data[at];
+}
+
+template <typename V>
+void FlatMap<V>::erase_at(std::size_t at) {
+  if (!unique()) reallocate(size());
+  value_type* data = items(block_);
+  const std::size_t n = size();
+  std::move(data + at + 1, data + n, data + at);
+  std::destroy_at(data + n - 1);
+  --block_->size;
+}
+
+template class FlatMap<Value>;
 
 const char* Value::type_name(Type t) {
   switch (t) {

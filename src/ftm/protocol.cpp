@@ -1,6 +1,8 @@
 #include "rcs/ftm/protocol.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 #include "rcs/common/error.hpp"
 #include "rcs/common/logging.hpp"
@@ -13,8 +15,15 @@
 namespace rcs::ftm {
 
 namespace {
+/// "c<client>:<id>"; runs at every request start on every replica, so it
+/// formats with to_chars instead of an ostringstream.
 std::string request_key(std::int64_t client, std::uint64_t id) {
-  return strf("c", client, ":", id);
+  char digits[20];  // the longest int64 ("-9223372036854775808") or uint64
+  std::string key = "c";
+  key.append(digits, std::to_chars(std::begin(digits), std::end(digits), client).ptr);
+  key += ':';
+  key.append(digits, std::to_chars(std::begin(digits), std::end(digits), id).ptr);
+  return key;
 }
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "rcs/sim/fault_injector.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "rcs/common/logging.hpp"
 #include "rcs/sim/host.hpp"
@@ -198,9 +199,10 @@ Value FaultInjector::corrupt(const Value& value, Rng& rng) {
   if (value.is_map()) {
     auto map = value.as_map();
     if (map.empty()) return Value(ValueMap{{"corrupt", Value(true)}});
-    auto it = map.begin();
-    std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(map.size()) - 1));
-    it->second = corrupt(it->second, rng);
+    const auto& [key, member] = *std::next(
+        map.begin(), rng.uniform_int(0, static_cast<std::int64_t>(map.size()) - 1));
+    Value corrupted = corrupt(member, rng);
+    map[key] = std::move(corrupted);
     return Value(std::move(map));
   }
   return corrupt_leaf(value, rng);

@@ -2,12 +2,17 @@
 // sequences of emplace, operator[], erase and find must leave it
 // indistinguishable from a std::map reference — same members in the same
 // order, same encoding — because encodings, digests and every cmp-gated
-// output depend on that order.
+// output depend on that order. Copies share their source's member block until
+// one side is written, so the model also keeps snapshots, each with its own
+// reference, and checks that writing one map never shows through another.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "rcs/common/rng.hpp"
 #include "rcs/common/value.hpp"
@@ -55,13 +60,30 @@ void expect_same(const ValueMap& map, const Reference& reference) {
   EXPECT_EQ(Value(map).encode(), encode_reference(reference));
 }
 
+std::size_t pick(Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
 class FlatMapModel : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlatMapModel, RandomOperationsMatchStdMap) {
   Rng rng(0xF1A7 + GetParam());
-  ValueMap map;
-  Reference reference;
+  // Slot 0 is the original; the others are snapshots, each copied together
+  // with its reference from a random slot at a random step.
+  constexpr std::size_t kMaxSlots = 6;
+  std::vector<std::pair<ValueMap, Reference>> slots(1);
   for (int step = 0; step < 2000; ++step) {
+    if (rng.bernoulli(0.05)) {
+      auto snapshot = slots[pick(rng, slots.size())];
+      if (slots.size() < kMaxSlots) {
+        slots.push_back(std::move(snapshot));
+      } else {
+        slots[1 + pick(rng, kMaxSlots - 1)] = std::move(snapshot);
+      }
+    }
+    const std::size_t target = rng.bernoulli(0.5) ? 0 : pick(rng, slots.size());
+    auto& [map, reference] = slots[target];
     const std::string key = random_key(rng);
     const Value value(rng.uniform_int(0, 1000));
     switch (rng.uniform_int(0, 4)) {
@@ -73,7 +95,7 @@ TEST_P(FlatMapModel, RandomOperationsMatchStdMap) {
         ASSERT_EQ(it->second, ref->second);
         break;
       }
-      case 1:
+      case 1:  // new and existing keys alike
         map[key] = value;
         reference[key] = value;
         break;
@@ -106,9 +128,13 @@ TEST_P(FlatMapModel, RandomOperationsMatchStdMap) {
       }
     }
     ASSERT_EQ(map.size(), reference.size());
-    if (step % 100 == 0) expect_same(map, reference);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (i != target || step % 100 == 0) {
+        expect_same(slots[i].first, slots[i].second);
+      }
+    }
   }
-  expect_same(map, reference);
+  for (const auto& [map, reference] : slots) expect_same(map, reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatMapModel, ::testing::Range(0, 5));
@@ -133,6 +159,62 @@ TEST(FlatMap, DecodeOfADuplicateKeyKeepsTheFirstValue) {
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded.at("k"), Value(1));
   EXPECT_EQ(decoded.at("a"), Value(2));
+}
+
+TEST(FlatMap, ReferenceIntoACopySurvivesMutationOfTheOriginal) {
+  // Members long enough to live on the heap, so a dangling reference reads
+  // freed memory under ASan instead of a stale inline buffer.
+  Value original = Value::map();
+  for (int i = 0; i < 4; ++i) {
+    original.set("k" + std::to_string(i),
+                 "member number " + std::to_string(i) + " of the map");
+  }
+  const Value copy = original;
+  const Value& member = copy.at("k2");
+  original.set("k2", "overwritten");
+  original.set("k9", 9);
+  original.as_map().erase("k0");
+  EXPECT_EQ(member, Value("member number 2 of the map"));
+  EXPECT_EQ(&member, &copy.at("k2"));
+  EXPECT_EQ(copy.size(), 4u);
+  EXPECT_EQ(original.at("k2"), Value("overwritten"));
+  EXPECT_FALSE(original.has("k0"));
+}
+
+TEST(FlatMap, ThreadsCopyOneSharedMapAndWriteTheirOwnCopies) {
+  // Every thread copies the same const map (bumping one refcount), reads and
+  // digests it, then writes its copy at both levels of nesting, which clones
+  // the outer block and the inner member's block. Run under TSan in CI.
+  Value shared = Value::map();
+  for (int i = 0; i < 16; ++i) {
+    shared.set("key" + std::to_string(i),
+               Value::map().set("n", i).set("s", std::string(40, 'x')));
+  }
+  const Value& source = shared;
+  const Bytes expected = source.encode();
+  const std::uint64_t expected_digest = source.digest();
+  constexpr int kThreads = 4;
+  std::array<bool, kThreads> saw_original{};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&source, &expected, expected_digest, &saw_original, t] {
+      bool same = true;
+      for (int round = 0; round < 200; ++round) {
+        Value copy = source;
+        same = same && copy.digest() == expected_digest &&
+               copy.encode() == expected &&
+               copy.at("key3").at("n") == Value(3);
+        copy.as_map()["key" + std::to_string(round % 16)].set("n", t);
+        copy.set("thread" + std::to_string(t), round);
+        same = same && copy.at("thread" + std::to_string(t)) == Value(round) &&
+               source.digest() == expected_digest;
+      }
+      saw_original[t] = same;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_TRUE(saw_original[t]) << t;
+  EXPECT_EQ(source.encode(), expected);
 }
 
 std::string hex(const Bytes& bytes) {

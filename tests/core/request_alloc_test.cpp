@@ -50,13 +50,19 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace rcs::core {
 namespace {
 
-TEST(RequestAllocations, CopyingAnEightMemberMapIsOneAllocation) {
+TEST(RequestAllocations, CopyingAMapAllocatesNothingUntilItsFirstInsert) {
   Value map = Value::map();
   for (int i = 0; i < 8; ++i) map.set("key" + std::to_string(i), i);
-  const std::size_t before = g_allocations.load();
-  const Value copy = map;
-  EXPECT_EQ(g_allocations.load() - before, 1u);
+  const Bytes encoded = map.encode();
+  std::size_t before = g_allocations.load();
+  Value copy = map;
+  EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(copy, map);
+  before = g_allocations.load();
+  copy.set("key8", 8);
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(copy.size(), 9u);
+  EXPECT_EQ(map.encode(), encoded);
 }
 
 /// One request of the benchmark's mix: 60% incr, 20% get, 20% put, 64 keys.
@@ -99,19 +105,19 @@ double allocs_per_request(const ftm::FtmConfig& config) {
 TEST(RequestAllocations, PbrRoundtripStaysUnderCeiling) {
   const double allocs = allocs_per_request(ftm::FtmConfig::pbr());
   RecordProperty("allocs_per_request", std::to_string(allocs));
-  EXPECT_LT(allocs, 170.0);  // 154 when set; 396 with tree maps
+  EXPECT_LT(allocs, 89.0);  // 80.5 when set; 151 with copied maps
 }
 
 TEST(RequestAllocations, LfrRoundtripStaysUnderCeiling) {
   const double allocs = allocs_per_request(ftm::FtmConfig::lfr());
   RecordProperty("allocs_per_request", std::to_string(allocs));
-  EXPECT_LT(allocs, 145.0);  // 132 when set; 382 with tree maps
+  EXPECT_LT(allocs, 80.0);  // 72.5 when set; 129 with copied maps
 }
 
 TEST(RequestAllocations, TrRoundtripStaysUnderCeiling) {
   const double allocs = allocs_per_request(ftm::FtmConfig::tr());
   RecordProperty("allocs_per_request", std::to_string(allocs));
-  EXPECT_LT(allocs, 58.0);  // 52 when set; 271 with tree maps
+  EXPECT_LT(allocs, 35.5);  // 32.1 when set; 52.1 with copied maps
 }
 
 /// Mean allocations and heap bytes per steady-state differential transition,
@@ -146,8 +152,8 @@ TEST(TransitionAllocs, PbrLfrCycleStaysUnderCeilings) {
   const TransitionCost cost = cost_per_transition();
   RecordProperty("allocs_per_transition", std::to_string(cost.allocs));
   RecordProperty("heap_bytes_per_transition", std::to_string(cost.heap_bytes));
-  EXPECT_LT(cost.allocs, 1030.0);  // 936 when set; 1711 with copied artifacts
-  EXPECT_LT(cost.heap_bytes, 380000.0);  // 345 286 when set; 990 397 with copies
+  EXPECT_LT(cost.allocs, 965.0);  // 879 when set; 936 with copied maps
+  EXPECT_LT(cost.heap_bytes, 312000.0);  // 283 572 when set; 345 286 with copied maps
 }
 
 }  // namespace
