@@ -11,17 +11,8 @@ namespace rcs::gateway {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
-}
+/// Scope stamped on metrics frames (and /metrics bodies).
+constexpr const char* kMetricsScope = "gateway";
 
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -33,17 +24,17 @@ void append_client_snapshot(std::string& out,
                             const ftm::Client::Stats::Snapshot& snap,
                             std::size_t outstanding) {
   out += "{\"sent\":";
-  append_u64(out, snap.sent);
+  out += std::to_string(snap.sent);
   out += ",\"ok\":";
-  append_u64(out, snap.ok);
+  out += std::to_string(snap.ok);
   out += ",\"errors\":";
-  append_u64(out, snap.errors);
+  out += std::to_string(snap.errors);
   out += ",\"retries\":";
-  append_u64(out, snap.retries);
+  out += std::to_string(snap.retries);
   out += ",\"gave_up\":";
-  append_u64(out, snap.gave_up);
+  out += std::to_string(snap.gave_up);
   out += ",\"outstanding\":";
-  append_u64(out, outstanding);
+  out += std::to_string(outstanding);
   out += ",\"mean_latency_ms\":";
   append_double(out, snap.mean_latency_ms());
   out += ",\"last_latency_ms\":";
@@ -177,7 +168,7 @@ std::uint64_t SimBridge::run(sim::Time until) {
     }
   }
   publish_snapshot();  // final frame so late dashboards see the end state
-  board_.close();      // release blocked HTTP workers
+  board_.close();      // outstanding tickets fail fast at the edge
   return sim.loop().processed() - processed_before;
 }
 
@@ -198,7 +189,7 @@ std::string SimBridge::build_groups_json() const {
     const auto& replica = system_.replica(i);
     if (i != 0) out += ',';
     out += "{\"host\":";
-    append_u64(out, static_cast<std::uint64_t>(replica.id().value()));
+    out += std::to_string(static_cast<std::uint64_t>(replica.id().value()));
     out += ",\"name\":";
     append_json_string(out, replica.name());
     out += ",\"alive\":";
@@ -220,48 +211,48 @@ std::string SimBridge::build_status_frame() {
   if (fleet_ != nullptr) fleet_snap = fleet_->snapshot();
 
   std::string out = "{\"type\":\"status\",\"seq\":";
-  append_u64(out, frame_seq_);
+  out += std::to_string(frame_seq_);
   out += ",\"sim_now_us\":";
-  append_i64(out, sim.now());
+  out += std::to_string(sim.now());
   out += ",\"quantum_us\":";
-  append_i64(out, options_.quantum);
+  out += std::to_string(options_.quantum);
   out += ",\"speed\":";
   append_double(out, options_.speed);
   out += ",\"events_processed\":";
-  append_u64(out, sim.loop().processed());
+  out += std::to_string(sim.loop().processed());
   out += ",\"queue_depth\":";
-  append_u64(out, sim.loop().pending());
+  out += std::to_string(sim.loop().pending());
 
   out += ",\"gateway\":";
   append_client_snapshot(out, gateway_snap, client_->outstanding());
   out += ",\"commands\":{\"pending\":";
-  append_u64(out, queue_.depth());
+  out += std::to_string(queue_.depth());
   out += ",\"enqueued\":";
-  append_u64(out, queue_.enqueued_total());
+  out += std::to_string(queue_.enqueued_total());
   out += ",\"rejected\":";
-  append_u64(out, queue_.rejected_total());
+  out += std::to_string(queue_.rejected_total());
   out += ",\"injected\":";
-  append_u64(out, injected_.load(std::memory_order_relaxed));
+  out += std::to_string(injected_.load(std::memory_order_relaxed));
   out += ",\"completed\":";
-  append_u64(out, board_.posted_total());
+  out += std::to_string(board_.posted_total());
   out += '}';
 
   std::uint64_t ok_now = gateway_snap.ok;
   if (fleet_ != nullptr) {
     out += ",\"fleet\":{\"clients\":";
-    append_u64(out, fleet_->size());
+    out += std::to_string(fleet_->size());
     out += ",\"sent\":";
-    append_u64(out, fleet_snap.totals.sent);
+    out += std::to_string(fleet_snap.totals.sent);
     out += ",\"ok\":";
-    append_u64(out, fleet_snap.totals.ok);
+    out += std::to_string(fleet_snap.totals.ok);
     out += ",\"errors\":";
-    append_u64(out, fleet_snap.totals.errors);
+    out += std::to_string(fleet_snap.totals.errors);
     out += ",\"gave_up\":";
-    append_u64(out, fleet_snap.totals.gave_up);
+    out += std::to_string(fleet_snap.totals.gave_up);
     out += ",\"retries\":";
-    append_u64(out, fleet_snap.totals.retries);
+    out += std::to_string(fleet_snap.totals.retries);
     out += ",\"outstanding\":";
-    append_u64(out, fleet_snap.outstanding);
+    out += std::to_string(fleet_snap.outstanding);
     out += ",\"mean_latency_ms\":";
     const double fleet_mean =
         fleet_snap.totals.latency_count == 0
@@ -278,9 +269,9 @@ std::string SimBridge::build_status_frame() {
   const sim::Duration window = sim.now() - last_frame_at_;
   const std::uint64_t window_ok = ok_now - last_ok_;
   out += ",\"throughput\":{\"window_ok\":";
-  append_u64(out, window_ok);
+  out += std::to_string(window_ok);
   out += ",\"window_us\":";
-  append_i64(out, window);
+  out += std::to_string(window);
   out += ",\"ok_per_s\":";
   append_double(out, window <= 0 ? 0.0
                                  : static_cast<double>(window_ok) *
@@ -304,7 +295,7 @@ std::string SimBridge::build_status_frame() {
     if (!first) out += ',';
     first = false;
     out += "{\"kind\":\"transition\",\"at_us\":";
-    append_i64(out, entry.at);
+    out += std::to_string(entry.at);
     out += ",\"cause\":";
     append_json_string(out, entry.cause);
     out += ",\"decision\":";
@@ -324,7 +315,7 @@ std::string SimBridge::build_status_frame() {
     if (!first) out += ',';
     first = false;
     out += "{\"kind\":\"trigger\",\"at_us\":";
-    append_i64(out, trigger.at);
+    out += std::to_string(trigger.at);
     out += ",\"trigger\":";
     append_json_string(out, core::to_string(trigger.kind));
     out += ",\"measured\":";
@@ -350,10 +341,10 @@ void SimBridge::publish_snapshot() {
   const std::string groups = build_groups_json();
   // Metrics ride the same serialization path as the --metrics-out file
   // exports (obs::snapshot_json), wrapped in a one-field frame.
-  std::string metrics = obs::snapshot_json(system_.sim().metrics(),
-                                           options_.metrics_scope);
+  std::string metrics =
+      obs::snapshot_json(system_.sim().metrics(), kMetricsScope);
   std::string metrics_frame = "{\"type\":\"metrics\",\"scope\":";
-  append_json_string(metrics_frame, options_.metrics_scope);
+  append_json_string(metrics_frame, kMetricsScope);
   metrics_frame += ",\"lines\":";
   append_json_string(metrics_frame, metrics);
   metrics_frame += '}';

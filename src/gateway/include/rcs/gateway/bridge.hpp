@@ -24,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,8 +47,6 @@ struct BridgeOptions {
   sim::Duration quantum{20 * sim::kMillisecond};
   /// Status/metrics frame period (virtual time).
   sim::Duration snapshot_every{500 * sim::kMillisecond};
-  /// Scope stamped on metrics frames (and /metrics bodies).
-  std::string metrics_scope{"gateway"};
   /// Command backlog bound (0 = unbounded): pushes beyond this many pending
   /// commands are rejected and surface as HTTP 503 at the edge.
   std::size_t queue_capacity{CommandQueue::kDefaultCapacity};

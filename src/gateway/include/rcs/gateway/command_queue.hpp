@@ -1,10 +1,11 @@
 // The async boundary between the socket edge and the deterministic core.
 //
-// The gateway's server threads never touch the simulation: they enqueue
-// Commands here and block on the CompletionBoard. The simulation thread is
-// the only consumer — it drains the queue at quantum boundaries (between
-// event executions, never mid-event), injects the requests through an
-// ftm::Client, and posts each reply back under the command's ticket. The
+// The gateway's server loop never touches the simulation: it enqueues
+// Commands here and collects replies from the CompletionBoard. The
+// simulation thread is the only consumer — it drains the queue at quantum
+// boundaries (between event executions, never mid-event), injects the
+// requests through an ftm::Client, and posts each reply back under the
+// command's ticket. The
 // result is that external concurrency collapses onto deterministic sim
 // instants: whatever wall-clock moment a producer enqueued at, its request
 // enters the simulation exactly at the next quantum boundary.
@@ -14,11 +15,12 @@
 // is recycled across drains).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,7 +42,7 @@ struct Command {
   std::string target;
 };
 
-/// Multi-producer (server threads), single-consumer (sim thread) queue.
+/// Multi-producer (any thread), single-consumer (sim thread) queue.
 /// Bounded: pushes beyond `capacity` pending commands are rejected (ticket
 /// 0, counted) instead of queued, so a producer burst cannot grow the sim
 /// thread's drain latency without bound — backpressure surfaces at the edge
@@ -122,54 +124,51 @@ class CommandQueue {
   std::uint64_t rejected_{0};
 };
 
-/// Completions keyed by ticket. The sim thread posts; a server thread waits
-/// for its own ticket with a wall-clock timeout. close() releases every
-/// waiter (shutdown path) — late posts after close are dropped.
+/// Completions keyed by ticket. The sim thread posts; the gateway's loop
+/// takes each reply once it has arrived, without blocking, and learns that
+/// it may look through the notify callback. close() (shutdown path) makes
+/// every outstanding ticket final: late posts after close are dropped.
 class CompletionBoard {
  public:
+  /// `notify` runs on every post and on close(), on the posting thread and
+  /// with the board's lock held, so that once set_notify(nullptr) returns
+  /// it never runs again. It must not call back into the board.
+  void set_notify(std::function<void()> notify) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    notify_ = std::move(notify);
+  }
+
   void post(std::uint64_t ticket, Value reply) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return;
-      done_.emplace(ticket, std::move(reply));
-      ++posted_;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) return;
+    ++posted_;
+    if (abandoned_.erase(ticket) != 0) return;
+    done_.emplace(ticket, std::move(reply));
+    if (notify_) notify_();
   }
 
-  /// Block until `ticket`'s reply arrives, the board closes, or `timeout`
-  /// elapses. Returns nullopt on close/timeout.
-  template <typename Rep, typename Period>
-  std::optional<Value> wait(std::uint64_t ticket,
-                            std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    for (;;) {
-      const auto it = done_.find(ticket);
-      if (it != done_.end()) {
-        Value reply = std::move(it->second);
-        done_.erase(it);
-        return reply;
-      }
-      if (closed_) return std::nullopt;
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        // One last look: the reply may have been posted while waking up.
-        const auto again = done_.find(ticket);
-        if (again == done_.end()) return std::nullopt;
-        Value reply = std::move(again->second);
-        done_.erase(again);
-        return reply;
-      }
-    }
+  /// `ticket`'s reply, removed from the board, or nullopt while it has not
+  /// arrived (for good once closed()).
+  std::optional<Value> take(std::uint64_t ticket) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto node = done_.extract(ticket);
+    if (node.empty()) return std::nullopt;
+    return std::move(node.mapped());
   }
 
-  /// Release every waiter (they observe nullopt) and drop late posts.
+  /// Nobody will take `ticket` (its client left or timed out): drop its
+  /// reply now, or when it arrives.
+  void abandon(std::uint64_t ticket) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_ || done_.erase(ticket) != 0) return;
+    abandoned_.insert(ticket);
+  }
+
   void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
+    abandoned_.clear();
+    if (notify_) notify_();
   }
 
   [[nodiscard]] bool closed() const {
@@ -183,8 +182,9 @@ class CompletionBoard {
 
  private:
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::map<std::uint64_t, Value> done_;
+  std::set<std::uint64_t> abandoned_;
+  std::function<void()> notify_;
   std::uint64_t posted_{0};
   bool closed_{false};
 };

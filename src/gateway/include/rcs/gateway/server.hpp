@@ -1,14 +1,18 @@
 // GatewayServer: the real-socket edge.
 //
-// A plain POSIX TCP listener plus a small worker pool. Workers speak the
-// minimal HTTP/1.1 of http.hpp; application requests are bridged onto the
-// simulation through the SimBridge's command queue (the worker blocks on
-// the completion board with a wall-clock timeout — the deterministic core
-// never sees the socket). A WebSocket upgrade turns the connection into a
-// status/metrics stream: publish() (driven by the bridge's snapshot tick)
-// fans each frame out to every subscriber with non-blocking writes, so one
-// slow dashboard can stall neither the simulation nor its peers — it just
-// loses frames and is dropped once its socket backs up.
+// One thread runs a poll loop over non-blocking sockets: the listener, a
+// wake fd and every connection, so an idle client costs a connection slot,
+// never a thread. The loop speaks the minimal HTTP/1.1 of http.hpp. An
+// application request is bridged onto the simulation through the
+// SimBridge's command queue (the deterministic core never sees the socket);
+// its connection then parses nothing further until the ticket's completion
+// arrives, which keeps pipelined replies in order. The sim thread wakes the
+// loop through the wake fd both when it posts a completion and when
+// publish() hands over a status/metrics frame for the WebSocket
+// subscribers. Every queue is bounded by a constant in server.cpp: a
+// subscriber that falls too far behind is dropped, so a slow dashboard
+// stalls neither the simulation nor its peers, and connections past
+// kMaxConnections are answered 503.
 //
 // Routes:
 //   GET  /healthz        liveness + sim clock (no sim round-trip)
@@ -24,10 +28,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,87 +45,83 @@ struct ServerOptions {
   std::string bind{"127.0.0.1"};
   /// 0 binds an ephemeral port; read the actual one from port().
   int port{8080};
-  int workers{4};
   /// File served at "/" (the committed console); empty or unreadable falls
   /// back to a built-in placeholder page.
   std::string console_path;
-  /// Wall-clock budget a worker waits for a bridged request's completion.
-  std::chrono::milliseconds request_timeout{30'000};
 };
 
 class GatewayServer {
  public:
+  static constexpr std::size_t kMaxConnections = 256;
+
   GatewayServer(SimBridge& bridge, ServerOptions options);
   ~GatewayServer();
 
   GatewayServer(const GatewayServer&) = delete;
   GatewayServer& operator=(const GatewayServer&) = delete;
 
-  /// Bind + listen + spawn accept/worker threads. False (with `error` set)
-  /// if the socket could not be bound.
+  /// Bind + listen + start the loop thread. False (with `error` set) if the
+  /// socket could not be bound.
   bool start(std::string* error = nullptr);
-  /// Close the listener, wake and join every thread, close every
-  /// connection. Idempotent.
+  /// Stop and join the loop, close every connection. Idempotent.
   void stop();
 
   [[nodiscard]] int port() const { return port_; }
-  [[nodiscard]] bool running() const {
-    return running_.load(std::memory_order_acquire);
+
+  /// Hand a text frame to the loop for every WebSocket subscriber (any
+  /// thread; the bridge calls it from the sim thread).
+  void publish(const std::string& frame);
+  [[nodiscard]] std::size_t ws_subscribers() const {
+    return ws_count_.load(std::memory_order_relaxed);
   }
 
-  /// Fan a text frame out to every WebSocket subscriber (bridge thread).
-  void publish(const std::string& frame);
-  [[nodiscard]] std::size_t ws_subscribers() const;
-
-  /// Served and error counters (diagnostics; approximate under churn).
+  /// Responses written (diagnostics).
   [[nodiscard]] std::uint64_t requests_served() const {
     return served_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct WsConn {
-    int fd{-1};
-    std::mutex write_mutex;
-    std::atomic<bool> dead{false};
-  };
+  using Clock = std::chrono::steady_clock;
+  /// One connection's buffers and state (server.cpp).
+  struct Conn;
 
-  void accept_loop();
-  void worker_loop();
-  void handle_connection(int fd);
-  /// Serve one parsed request; returns false when the connection must close
-  /// (errors, Connection: close, or a WebSocket upgrade that has taken over
-  /// the socket).
-  bool serve(int fd, const HttpRequest& request);
-  void serve_websocket(int fd, const HttpRequest& request);
-  std::string route(const HttpRequest& request);
-  std::string bridge_roundtrip(Value request);
+  void loop();
+  /// Close and forget the connections marked dead.
+  void reap();
+  void accept_all(Clock::time_point now);
+  /// Serve what `conn` has read as far as its state allows, then send.
+  void pump(Conn& conn, Clock::time_point now);
+  /// One request from `conn`'s input; false when none is complete.
+  bool serve_request(Conn& conn, Clock::time_point now);
+  /// Write the response of `conn`'s ticket once it completed, timed out,
+  /// or the board closed.
+  void resolve(Conn& conn, Clock::time_point now);
+  void wake();
+  /// The response to `request`, or empty when it was bridged: `conn` then
+  /// waits on its ticket.
+  std::string route(const HttpRequest& request, Conn& conn,
+                    Clock::time_point now);
   std::string console_page() const;
-
-  void track(int fd);
-  void untrack(int fd);
 
   SimBridge& bridge_;
   ServerOptions options_;
-  /// Atomic: stop() swaps it to -1 while accept_loop() is reading it.
-  std::atomic<int> listen_fd_{-1};
+  int listen_fd_{-1};
   int port_{0};
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};
+  std::atomic<std::size_t> ws_count_{0};
 
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
+  /// Loop thread only.
+  std::vector<Conn> conns_;
+  Clock::time_point accept_paused_until_{};
 
-  /// Accepted connections awaiting a worker.
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<int> pending_fds_;
+  /// Frames from publish() not yet taken by the loop, and the eventfd that
+  /// wakes it; stop() closes the fd under the same lock.
+  std::mutex outbox_mutex_;
+  std::deque<std::string> outbox_;
+  int wake_fd_{-1};
 
-  /// Every open connection fd, so stop() can shutdown() blocked reads.
-  mutable std::mutex conns_mutex_;
-  std::vector<int> open_fds_;
-
-  mutable std::mutex ws_mutex_;
-  std::vector<std::shared_ptr<WsConn>> ws_conns_;
+  std::thread thread_;
 };
 
 }  // namespace rcs::gateway

@@ -3,54 +3,37 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace rcs::gateway {
 
 namespace {
 
-/// Write all of `data` with MSG_NOSIGNAL (a dead peer must not SIGPIPE the
-/// process). Returns false on any error.
-bool send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Best-effort non-blocking send for broadcast frames: a subscriber whose
-/// socket buffer is full is considered lagging and gets dropped rather than
-/// blocking the publisher.
-bool send_frame_nonblocking(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // EAGAIN (lagging) or a real error: drop the subscriber
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// poll() period: timeouts are checked at least this often.
+constexpr auto kTick = std::chrono::milliseconds(250);
+/// An HTTP connection that makes no progress this long is closed.
+constexpr auto kIdleTimeout = std::chrono::seconds(60);
+/// Budget of a bridged request. /adapt gets twice this: a transition
+/// fetches packages and runs reconfiguration scripts.
+constexpr auto kRequestTimeout = std::chrono::seconds(30);
+/// Unsent bytes past which a WebSocket subscriber is dropped as lagging.
+constexpr std::size_t kMaxOutBuffer = 1 << 20;
+/// Frames publish() may queue for the loop; the oldest goes first.
+constexpr std::size_t kMaxPendingFrames = 64;
+/// Bytes read per readable event (http.hpp caps a request or a frame).
+constexpr std::size_t kReadChunk = 16 << 10;
 
 std::string_view after_prefix(std::string_view path, std::string_view prefix) {
   return path.substr(prefix.size());
@@ -80,6 +63,80 @@ constexpr const char* kFallbackConsole =
 
 }  // namespace
 
+struct GatewayServer::Conn {
+  int fd{-1};
+  bool websocket{false};
+  /// Parse nothing more; close once `out` is sent and no ticket is left.
+  bool closing{false};
+  bool dead{false};
+  std::string in{};
+  std::string out{};
+  /// The bridged request this connection waits on (0 = none).
+  std::uint64_t ticket{0};
+  bool adapt{false};
+  Clock::time_point ticket_deadline{};
+  Clock::time_point last_active{};
+
+  void receive(Clock::time_point now) {
+    char chunk[kReadChunk];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      in.append(chunk, static_cast<std::size_t>(n));
+      last_active = now;
+    } else if (n == 0 ||
+               (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+      dead = true;  // peer closed, or a socket error
+    }
+  }
+
+  void flush(Clock::time_point now) {
+    std::size_t sent = 0;
+    while (sent < out.size()) {
+      const ssize_t n =
+          ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        dead = errno != EAGAIN && errno != EWOULDBLOCK;
+        break;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+    out.erase(0, sent);
+    if (sent > 0) last_active = now;
+  }
+
+  /// One client frame from `in`; false when none is complete. Answers
+  /// pings, honors close, ignores payloads (the console drives the system
+  /// through the HTTP verbs, not the socket).
+  bool serve_frame() {
+    WsFrame frame;
+    std::size_t consumed = 0;
+    const ParseStatus status = parse_ws_frame(in, frame, consumed);
+    if (status == ParseStatus::kBad) dead = true;
+    if (status != ParseStatus::kOk) return false;
+    in.erase(0, consumed);
+    if (frame.opcode == 0x8) {
+      out += ws_close_frame();
+      closing = true;
+    } else if (frame.opcode == 0x9) {
+      out += ws_pong_frame(frame.payload);
+    }
+    return true;
+  }
+
+  /// Wait on `id`; a 503 when the command queue refused the command.
+  std::string park(std::uint64_t id, bool is_adapt, Clock::time_point now) {
+    if (id == 0) {
+      return http_response(503, "application/json",
+                           "{\"error\":\"command queue full\"}\n");
+    }
+    ticket = id;
+    adapt = is_adapt;
+    ticket_deadline = now + (is_adapt ? 2 : 1) * kRequestTimeout;
+    return {};
+  }
+};
+
 GatewayServer::GatewayServer(SimBridge& bridge, ServerOptions options)
     : bridge_(bridge), options_(std::move(options)) {}
 
@@ -90,12 +147,12 @@ bool GatewayServer::start(std::string* error) {
     if (error != nullptr) {
       *error = std::string(what) + ": " + std::strerror(errno);
     }
-    const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-    if (fd >= 0) ::close(fd);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
     return false;
   };
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return fail("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -110,7 +167,7 @@ bool GatewayServer::start(std::string* error) {
       0) {
     return fail("bind");
   }
-  if (::listen(listen_fd_, 64) < 0) return fail("listen");
+  if (::listen(listen_fd_, SOMAXCONN) < 0) return fail("listen");
 
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
@@ -119,242 +176,205 @@ bool GatewayServer::start(std::string* error) {
     port_ = ntohs(bound.sin_port);
   }
 
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  const int workers = std::max(1, options_.workers);
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  const int wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd < 0) return fail("eventfd");
+  {
+    std::lock_guard<std::mutex> lock(outbox_mutex_);
+    wake_fd_ = wake_fd;
   }
+  running_.store(true, std::memory_order_release);
+  bridge_.completions().set_notify([this] { wake(); });
+  thread_ = std::thread([this] { loop(); });
   return true;
 }
 
 void GatewayServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Unblock accept(): swap the fd out first so the accept loop cannot reuse
-  // it, then shutdown + close to wake a blocked accept().
-  const int lfd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (lfd >= 0) {
-    ::shutdown(lfd, SHUT_RDWR);
-    ::close(lfd);
-  }
-  // Unblock every worker that sits in recv() on an open connection.
-  {
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  queue_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  // Anything still queued was never handled; close it.
-  std::deque<int> leftover;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    std::swap(leftover, pending_fds_);
-  }
-  for (const int fd : leftover) ::close(fd);
+  bridge_.completions().set_notify(nullptr);
+  wake();
+  thread_.join();
+  for (Conn& conn : conns_) conn.dead = true;
+  reap();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  std::lock_guard<std::mutex> lock(outbox_mutex_);
+  ::close(wake_fd_);
+  wake_fd_ = -1;
+  outbox_.clear();
 }
 
-void GatewayServer::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int lfd = listen_fd_.load(std::memory_order_acquire);
-    if (lfd < 0) break;
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed (stop()) or fatal
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    // Belt-and-braces idle bound so a silent client cannot pin a worker.
-    timeval timeout{};
-    timeout.tv_sec = 60;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      pending_fds_.push_back(fd);
-    }
-    queue_cv_.notify_one();
-  }
-}
-
-void GatewayServer::worker_loop() {
-  while (true) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [&] {
-        return !pending_fds_.empty() ||
-               !running_.load(std::memory_order_acquire);
-      });
-      if (pending_fds_.empty()) return;  // stopping
-      fd = pending_fds_.front();
-      pending_fds_.pop_front();
-    }
-    handle_connection(fd);
-  }
-}
-
-void GatewayServer::track(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  open_fds_.push_back(fd);
-}
-
-void GatewayServer::untrack(int fd) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  open_fds_.erase(std::remove(open_fds_.begin(), open_fds_.end(), fd),
-                  open_fds_.end());
-}
-
-void GatewayServer::handle_connection(int fd) {
-  track(fd);
-  std::string buffer;
-  char chunk[8192];
-  bool keep_going = true;
-  while (keep_going && running_.load(std::memory_order_acquire)) {
-    HttpRequest request;
-    std::size_t consumed = 0;
-    const ParseStatus status = parse_http_request(buffer, request, consumed);
-    if (status == ParseStatus::kBad) {
-      send_all(fd, http_response(400, "text/plain", "bad request\n"));
-      break;
-    }
-    if (status == ParseStatus::kIncomplete) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;  // peer closed, timed out, or shutdown()
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    buffer.erase(0, consumed);
-    keep_going = serve(fd, request);
-  }
-  untrack(fd);
-  ::close(fd);
-}
-
-bool GatewayServer::serve(int fd, const HttpRequest& request) {
-  // WebSocket upgrade: the socket leaves the HTTP request loop for good.
-  if (request.path == "/ws") {
-    const auto key = request.header("sec-websocket-key");
-    if (key.empty()) {
-      send_all(fd, http_response(400, "text/plain", "missing websocket key\n"));
-      return false;
-    }
-    serve_websocket(fd, request);
-    return false;
-  }
-  const std::string response = route(request);
-  served_.fetch_add(1, std::memory_order_relaxed);
-  if (!send_all(fd, response)) return false;
-  std::string connection(request.header("connection"));
-  std::transform(connection.begin(), connection.end(), connection.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return connection != "close";
-}
-
-void GatewayServer::serve_websocket(int fd, const HttpRequest& request) {
-  if (!send_all(fd, ws_handshake_response(request.header("sec-websocket-key")))) {
-    return;
-  }
-  auto conn = std::make_shared<WsConn>();
-  conn->fd = fd;
-  {
-    std::lock_guard<std::mutex> lock(ws_mutex_);
-    ws_conns_.push_back(conn);
-  }
-  // Greet the subscriber with the latest state so dashboards render
-  // immediately instead of waiting for the next snapshot tick.
-  const std::string latest = bridge_.latest_status();
-  if (!latest.empty()) {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    send_all(fd, ws_text_frame(latest));
-  }
-  // Read loop: answer pings, honor close, ignore payloads (the console
-  // drives the system through the HTTP verbs, not the socket).
-  std::string buffer;
-  char chunk[4096];
-  while (running_.load(std::memory_order_acquire) &&
-         !conn->dead.load(std::memory_order_acquire)) {
-    WsFrame frame;
-    std::size_t consumed = 0;
-    const ParseStatus status = parse_ws_frame(buffer, frame, consumed);
-    if (status == ParseStatus::kBad) break;
-    if (status == ParseStatus::kIncomplete) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    buffer.erase(0, consumed);
-    if (frame.opcode == 0x8) {  // close
-      std::lock_guard<std::mutex> lock(conn->write_mutex);
-      send_all(fd, ws_close_frame());
-      break;
-    }
-    if (frame.opcode == 0x9) {  // ping
-      std::lock_guard<std::mutex> lock(conn->write_mutex);
-      if (!send_all(fd, ws_pong_frame(frame.payload))) break;
-    }
-  }
-  conn->dead.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(ws_mutex_);
-  ws_conns_.erase(std::remove(ws_conns_.begin(), ws_conns_.end(), conn),
-                  ws_conns_.end());
+void GatewayServer::wake() {
+  std::lock_guard<std::mutex> lock(outbox_mutex_);
+  if (wake_fd_ < 0) return;
+  const std::uint64_t one = 1;
+  // Only fails when the counter would overflow, and then the loop is awake.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void GatewayServer::publish(const std::string& frame) {
-  const std::string encoded = ws_text_frame(frame);
-  std::vector<std::shared_ptr<WsConn>> subscribers;
+  if (ws_subscribers() == 0) return;
+  std::string encoded = ws_text_frame(frame);
   {
-    std::lock_guard<std::mutex> lock(ws_mutex_);
-    subscribers = ws_conns_;
+    std::lock_guard<std::mutex> lock(outbox_mutex_);
+    if (wake_fd_ < 0) return;
+    if (outbox_.size() == kMaxPendingFrames) outbox_.pop_front();
+    outbox_.push_back(std::move(encoded));
   }
-  for (const auto& conn : subscribers) {
-    if (conn->dead.load(std::memory_order_acquire)) continue;
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    if (!send_frame_nonblocking(conn->fd, encoded)) {
-      conn->dead.store(true, std::memory_order_release);
-      // Wake its read loop so the subscriber is reaped promptly.
-      ::shutdown(conn->fd, SHUT_RDWR);
+  wake();
+}
+
+void GatewayServer::loop() {
+  std::vector<pollfd> fds;
+  std::deque<std::string> frames;
+  while (running_.load(std::memory_order_acquire)) {
+    Clock::time_point now = Clock::now();
+    fds.clear();
+    fds.push_back({now >= accept_paused_until_ ? listen_fd_ : -1, POLLIN, 0});
+    fds.push_back({wake_fd_, POLLIN, 0});
+    for (const Conn& conn : conns_) {
+      // An HTTP connection reads nothing while a reply is pending: the
+      // client's backlog then waits in its own socket buffer.
+      const bool idle_http = conn.ticket == 0 && conn.out.empty();
+      const bool read = !conn.closing && (conn.websocket || idle_http);
+      const int events = (read ? POLLIN : 0) | (conn.out.empty() ? 0 : POLLOUT);
+      fds.push_back({conn.fd, static_cast<short>(events), 0});
     }
+    ::poll(fds.data(), fds.size(), static_cast<int>(kTick.count()));
+    if (!running_.load(std::memory_order_acquire)) break;
+    now = Clock::now();
+
+    if (fds[1].revents != 0) {
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n =
+          ::read(wake_fd_, &count, sizeof(count));
+      {
+        std::lock_guard<std::mutex> lock(outbox_mutex_);
+        frames.swap(outbox_);
+      }
+      for (Conn& conn : conns_) {
+        if (!conn.websocket || conn.closing || frames.empty()) continue;
+        for (const std::string& frame : frames) conn.out += frame;
+        if (conn.out.size() > kMaxOutBuffer) conn.dead = true;  // lagging
+      }
+      frames.clear();
+    }
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      Conn& conn = conns_[i];
+      const short revents = fds[i + 2].revents;
+      if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
+        conn.dead = true;
+      } else if ((revents & POLLIN) != 0) {
+        conn.receive(now);
+      }
+      if (!conn.dead && conn.ticket != 0) resolve(conn, now);
+      if (!conn.dead) pump(conn, now);
+      // A WebSocket subscriber only listens, so it is exempt until closing.
+      if ((!conn.websocket || conn.closing) && conn.ticket == 0 &&
+          now - conn.last_active > kIdleTimeout) {
+        conn.dead = true;
+      }
+    }
+    reap();
+    // After the reaping, so a slot freed in this pass is free for a newcomer.
+    if ((fds[0].revents & POLLIN) != 0) accept_all(now);
   }
 }
 
-std::size_t GatewayServer::ws_subscribers() const {
-  std::lock_guard<std::mutex> lock(ws_mutex_);
-  return ws_conns_.size();
+void GatewayServer::reap() {
+  for (const Conn& conn : conns_) {
+    if (!conn.dead) continue;
+    if (conn.ticket != 0) bridge_.completions().abandon(conn.ticket);
+    if (conn.websocket) ws_count_.fetch_sub(1, std::memory_order_relaxed);
+    ::close(conn.fd);
+  }
+  std::erase_if(conns_, [](const Conn& conn) { return conn.dead; });
 }
 
-std::string GatewayServer::bridge_roundtrip(Value request) {
-  // GCC 12 issues a spurious -Wmaybe-uninitialized for the variant move
-  // inlined through submit_request (same pattern as payload.hpp).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-  const std::uint64_t ticket = bridge_.submit_request(std::move(request));
-#pragma GCC diagnostic pop
-  if (ticket == 0) {
-    return http_response(503, "application/json",
-                         "{\"error\":\"command queue full\"}\n");
+void GatewayServer::accept_all(Clock::time_point now) {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      // Out of fds, say: leave the backlog for a tick instead of spinning
+      // on a listener that stays readable.
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR &&
+          errno != ECONNABORTED) {
+        accept_paused_until_ = now + kTick;
+      }
+      return;
+    }
+    if (conns_.size() >= kMaxConnections) {
+      const std::string busy =
+          http_response(503, "application/json",
+                        "{\"error\":\"too many connections\"}\n",
+                        "Connection: close\r\n");
+      [[maybe_unused]] const ssize_t n =
+          ::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
+      ::close(fd);
+      continue;
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    conns_.push_back(Conn{.fd = fd, .last_active = now});
   }
-  auto reply = bridge_.completions().wait(ticket, options_.request_timeout);
-  if (!reply) {
-    return http_response(504, "application/json",
-                         "{\"error\":\"gateway timeout\"}\n");
+}
+
+void GatewayServer::pump(Conn& conn, Clock::time_point now) {
+  while (!conn.dead && !conn.closing && conn.ticket == 0 &&
+         conn.out.size() < kMaxOutBuffer &&
+         (conn.websocket ? conn.serve_frame() : serve_request(conn, now))) {
   }
-  if (reply->is_map() && reply->has("error")) {
+  if (!conn.dead) conn.flush(now);
+  if (conn.closing && conn.ticket == 0 && conn.out.empty()) conn.dead = true;
+}
+
+bool GatewayServer::serve_request(Conn& conn, Clock::time_point now) {
+  HttpRequest request;
+  std::size_t consumed = 0;
+  const ParseStatus status = parse_http_request(conn.in, request, consumed);
+  if (status == ParseStatus::kIncomplete) return false;
+  if (status == ParseStatus::kBad) {
+    conn.out += http_response(400, "text/plain", "bad request\n");
+    conn.closing = true;
+    return false;
+  }
+  conn.in.erase(0, consumed);
+  const std::string response = route(request, conn, now);
+  if (!response.empty()) {
+    conn.out += response;
+    served_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::string connection(request.header("connection"));
+  std::transform(connection.begin(), connection.end(), connection.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  if (connection == "close") conn.closing = true;
+  return true;
+}
+
+void GatewayServer::resolve(Conn& conn, Clock::time_point now) {
+  CompletionBoard& board = bridge_.completions();
+  const std::optional<Value> reply = board.take(conn.ticket);
+  if (!reply && !board.closed() && now < conn.ticket_deadline) return;
+  served_.fetch_add(1, std::memory_order_relaxed);
+  conn.last_active = now;
+  const bool adapt = conn.adapt;
+  if (!reply) {  // timed out, or the bridge stopped first
+    board.abandon(conn.ticket);
+    conn.out += http_response(504, "application/json",
+                              adapt ? "{\"error\":\"transition timeout\"}\n"
+                                    : "{\"error\":\"gateway timeout\"}\n");
+  } else if (reply->is_map() && reply->has("error")) {
     const bool timeout = reply->at("error").is_string() &&
                          reply->at("error").as_string() == "timeout";
-    return http_response(timeout ? 504 : 502, "application/json",
-                         json_of(*reply) + "\n");
+    conn.out += http_response(adapt ? 409 : timeout ? 504 : 502,
+                              "application/json", json_of(*reply) + "\n");
+  } else {
+    const bool result = !adapt && reply->is_map() && reply->has("result");
+    conn.out += http_response(
+        200, "application/json",
+        json_of(result ? reply->at("result") : *reply) + "\n");
   }
-  if (reply->is_map() && reply->has("result")) {
-    return http_response(200, "application/json",
-                         json_of(reply->at("result")) + "\n");
-  }
-  return http_response(200, "application/json", json_of(*reply) + "\n");
+  conn.ticket = 0;
 }
 
 std::string GatewayServer::console_page() const {
@@ -369,9 +389,25 @@ std::string GatewayServer::console_page() const {
   return http_response(200, "text/html; charset=utf-8", kFallbackConsole);
 }
 
-std::string GatewayServer::route(const HttpRequest& request) {
+std::string GatewayServer::route(const HttpRequest& request, Conn& conn,
+                                 Clock::time_point now) {
   const std::string& path = request.path;
   const bool is_get = request.method == "GET" || request.method == "HEAD";
+
+  // WebSocket upgrade: the connection leaves HTTP for good.
+  if (path == "/ws") {
+    const auto key = request.header("sec-websocket-key");
+    if (key.empty()) {
+      return http_response(400, "text/plain", "missing websocket key\n");
+    }
+    conn.websocket = true;
+    ws_count_.fetch_add(1, std::memory_order_relaxed);
+    // Greet the subscriber with the latest state so dashboards render
+    // immediately instead of waiting for the next snapshot tick.
+    const std::string latest = bridge_.latest_status();
+    return ws_handshake_response(key) +
+           (latest.empty() ? std::string() : ws_text_frame(latest));
+  }
 
   if (path == "/healthz") {
     if (!is_get) return http_response(405, "text/plain", "GET only\n");
@@ -379,6 +415,8 @@ std::string GatewayServer::route(const HttpRequest& request) {
     body += std::to_string(bridge_.sim_now_us());
     body += ",\"ws_subscribers\":";
     body += std::to_string(ws_subscribers());
+    body += ",\"connections_open\":";
+    body += std::to_string(conns_.size());
     body += ",\"requests_served\":";
     body += std::to_string(requests_served());
     body += "}\n";
@@ -405,25 +443,22 @@ std::string GatewayServer::route(const HttpRequest& request) {
     const bool incr = key.size() > 5 && key.rfind("/incr") == key.size() - 5;
     if (incr) key.resize(key.size() - 5);
     if (key.empty()) return http_response(400, "text/plain", "missing key\n");
+    Value op = Value::map().set("key", key);
     if (incr) {
       if (request.method != "POST") {
         return http_response(405, "text/plain", "POST only\n");
       }
-      Value op = Value::map().set("op", "incr").set("key", key);
+      op.set("op", "incr");
       const Value by = body_value(request.body);
       if (by.is_int()) op.set("by", by);
-      return bridge_roundtrip(std::move(op));
+    } else if (is_get) {
+      op.set("op", "get");
+    } else if (request.method == "POST" || request.method == "PUT") {
+      op.set("op", "put").set("value", body_value(request.body));
+    } else {
+      return http_response(405, "text/plain", "GET/POST/PUT only\n");
     }
-    if (request.method == "GET" || request.method == "HEAD") {
-      return bridge_roundtrip(Value::map().set("op", "get").set("key", key));
-    }
-    if (request.method == "POST" || request.method == "PUT") {
-      return bridge_roundtrip(Value::map()
-                                  .set("op", "put")
-                                  .set("key", key)
-                                  .set("value", body_value(request.body)));
-    }
-    return http_response(405, "text/plain", "GET/POST/PUT only\n");
+    return conn.park(bridge_.submit_request(std::move(op)), false, now);
   }
   if (path.rfind("/adapt/", 0) == 0) {
     if (request.method != "POST") {
@@ -431,23 +466,7 @@ std::string GatewayServer::route(const HttpRequest& request) {
     }
     const std::string target(after_prefix(path, "/adapt/"));
     if (target.empty()) return http_response(400, "text/plain", "missing FTM\n");
-    const std::uint64_t ticket = bridge_.submit_adapt(target);
-    if (ticket == 0) {
-      return http_response(503, "application/json",
-                           "{\"error\":\"command queue full\"}\n");
-    }
-    // Transitions take longer than KV round-trips (repository fetch +
-    // reconfiguration scripts); give them the full budget twice over.
-    auto reply =
-        bridge_.completions().wait(ticket, 2 * options_.request_timeout);
-    if (!reply) {
-      return http_response(504, "application/json",
-                           "{\"error\":\"transition timeout\"}\n");
-    }
-    if (reply->is_map() && reply->has("error")) {
-      return http_response(409, "application/json", json_of(*reply) + "\n");
-    }
-    return http_response(200, "application/json", json_of(*reply) + "\n");
+    return conn.park(bridge_.submit_adapt(target), true, now);
   }
   if (path == "/" || path == "/console" || path == "/index.html") {
     if (!is_get) return http_response(405, "text/plain", "GET only\n");

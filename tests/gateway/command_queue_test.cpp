@@ -1,11 +1,12 @@
 // The command-queue boundary: external threads hand work to the simulation
 // without ever touching it. These tests pin the contract the gateway rests
-// on: tickets are unique, drains move everything exactly once, completions
-// wake exactly the right waiter, and — the load-bearing property — commands
-// produced concurrently from many real threads are injected only at quantum
-// boundaries, so the deterministic core observes them at deterministic sim
-// instants. The concurrent cases double as the TSan surface for the
-// subsystem (CI runs this binary under -fsanitize=thread).
+// on: tickets are unique, drains move everything exactly once, each
+// completion is taken once under its own ticket, and — the load-bearing
+// property — commands produced concurrently from many real threads are
+// injected only at quantum boundaries, so the deterministic core observes
+// them at deterministic sim instants. The concurrent cases double as the
+// TSan surface for the subsystem (CI runs this binary under
+// -fsanitize=thread).
 #include "rcs/gateway/command_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -82,56 +83,97 @@ TEST(CommandQueue, CapacityBoundsBacklogAndCountsRejections) {
   EXPECT_EQ(queue.rejected_total(), 2u);
 }
 
-TEST(CompletionBoard, PostThenWaitReturnsImmediately) {
+TEST(CompletionBoard, PostThenTakeReturnsTheReplyOnce) {
   CompletionBoard board;
   board.post(7, Value::map().set("result", 42));
-  const auto reply = board.wait(7, std::chrono::milliseconds(0));
+  const auto reply = board.take(7);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->at("result").as_int(), 42);
   EXPECT_EQ(board.posted_total(), 1u);
+  EXPECT_FALSE(board.take(7).has_value());
 }
 
-TEST(CompletionBoard, WaitTimesOutWithoutAPost) {
+TEST(CompletionBoard, TakeBeforeAPostReturnsNothing) {
   CompletionBoard board;
-  const auto reply = board.wait(99, std::chrono::milliseconds(10));
-  EXPECT_FALSE(reply.has_value());
+  EXPECT_FALSE(board.take(99).has_value());
+  EXPECT_FALSE(board.closed());
 }
 
-TEST(CompletionBoard, CloseReleasesBlockedWaiters) {
+TEST(CompletionBoard, CloseNotifiesAndDropsLatePosts) {
   CompletionBoard board;
-  std::atomic<bool> released{false};
-  std::thread waiter([&] {
-    const auto reply = board.wait(5, std::chrono::seconds(30));
-    EXPECT_FALSE(reply.has_value());
-    released.store(true);
-  });
+  int notified = 0;
+  board.set_notify([&] { ++notified; });
   board.close();
-  waiter.join();
-  EXPECT_TRUE(released.load());
-  // Posts after close are dropped, not resurrected.
+  EXPECT_TRUE(board.closed());
+  EXPECT_EQ(notified, 1);
+  // Posts after close are dropped, not resurrected, and wake nobody.
   board.post(5, Value::map().set("result", 1));
-  EXPECT_FALSE(board.wait(5, std::chrono::milliseconds(0)).has_value());
+  EXPECT_FALSE(board.take(5).has_value());
+  EXPECT_EQ(notified, 1);
 }
 
-TEST(CompletionBoard, ConcurrentWaitersEachGetTheirOwnReply) {
+TEST(CompletionBoard, AbandonedTicketsLeaveNothingBehind) {
   CompletionBoard board;
-  constexpr int kWaiters = 8;
-  std::vector<std::thread> waiters;
-  std::vector<std::int64_t> got(kWaiters, -1);
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&board, &got, i] {
-      const auto reply =
-          board.wait(static_cast<std::uint64_t>(i), std::chrono::seconds(30));
-      if (reply) got[static_cast<std::size_t>(i)] = reply->at("result").as_int();
+  int notified = 0;
+  board.set_notify([&] { ++notified; });
+  // Abandoned before its reply arrives: the reply is dropped on arrival.
+  board.abandon(3);
+  board.post(3, Value::map().set("result", 3));
+  EXPECT_FALSE(board.take(3).has_value());
+  EXPECT_EQ(notified, 0);
+  // Abandoned after: the waiting reply goes at once.
+  board.post(4, Value::map().set("result", 4));
+  EXPECT_EQ(notified, 1);
+  board.abandon(4);
+  EXPECT_FALSE(board.take(4).has_value());
+  EXPECT_EQ(board.posted_total(), 2u);
+  // A cleared callback is never called again.
+  board.set_notify(nullptr);
+  board.post(6, Value::map().set("result", 6));
+  EXPECT_EQ(notified, 1);
+  EXPECT_TRUE(board.take(6).has_value());
+}
+
+TEST(CompletionBoard, ConcurrentPostsEachLandUnderTheirOwnTicket) {
+  CompletionBoard board;
+  constexpr int kPosters = 8;
+  std::atomic<int> notified{0};
+  board.set_notify([&] { notified.fetch_add(1); });
+  std::vector<std::thread> posters;
+  for (int i = kPosters - 1; i >= 0; --i) {
+    posters.emplace_back([&board, i] {
+      board.post(static_cast<std::uint64_t>(i), Value::map().set("result", i));
     });
   }
-  for (int i = kWaiters - 1; i >= 0; --i) {
-    board.post(static_cast<std::uint64_t>(i), Value::map().set("result", i));
+  // Take while the posters race: every ticket yields its own reply once.
+  std::vector<std::int64_t> got(kPosters, -1);
+  for (int remaining = kPosters; remaining > 0;) {
+    for (int i = 0; i < kPosters; ++i) {
+      if (got[static_cast<std::size_t>(i)] >= 0) continue;
+      if (const auto reply = board.take(static_cast<std::uint64_t>(i))) {
+        got[static_cast<std::size_t>(i)] = reply->at("result").as_int();
+        --remaining;
+      }
+    }
   }
-  for (auto& t : waiters) t.join();
-  for (int i = 0; i < kWaiters; ++i) {
-    EXPECT_EQ(got[static_cast<std::size_t>(i)], i) << "waiter " << i;
+  for (auto& t : posters) t.join();
+  for (int i = 0; i < kPosters; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i) << "ticket " << i;
   }
+  EXPECT_EQ(notified.load(), kPosters);
+}
+
+/// Poll `board` for `ticket` while another thread steps the simulation;
+/// nullopt once the board closes or a minute passes.
+std::optional<Value> await(CompletionBoard& board, std::uint64_t ticket) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (auto reply = board.take(ticket)) return reply;
+    if (board.closed()) return std::nullopt;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return std::nullopt;
 }
 
 /// One ResilientSystem + bridge, the shape gateway_runner builds.
@@ -167,7 +209,7 @@ TEST(SimBridge, CommandsLandOnlyAtQuantumBoundaries) {
   std::optional<Value> reply;
   for (int i = 0; i < 100 && !reply; ++i) {
     fx.bridge.step_quantum();
-    reply = fx.bridge.completions().wait(ticket, std::chrono::milliseconds(0));
+    reply = fx.bridge.completions().take(ticket);
   }
   ASSERT_TRUE(reply.has_value());
   EXPECT_TRUE(reply->has("result"));
@@ -202,8 +244,7 @@ TEST(SimBridge, ConcurrentProducersAllCompleteAndSerialize) {
   // Every ticket completes (the sim thread keeps stepping underneath).
   std::vector<std::int64_t> seen_values;
   for (const auto ticket : tickets) {
-    const auto reply = fx.bridge.completions().wait(ticket,
-                                                    std::chrono::seconds(60));
+    const auto reply = await(fx.bridge.completions(), ticket);
     ASSERT_TRUE(reply.has_value()) << "ticket " << ticket;
     ASSERT_TRUE(reply->has("result")) << reply->to_string();
     seen_values.push_back(reply->at("result").at("value").as_int());
@@ -227,7 +268,7 @@ TEST(SimBridge, AdaptCommandRunsATransition) {
   std::optional<Value> reply;
   for (int i = 0; i < 2000 && !reply; ++i) {
     fx.bridge.step_quantum();
-    reply = fx.bridge.completions().wait(ticket, std::chrono::milliseconds(0));
+    reply = fx.bridge.completions().take(ticket);
   }
   ASSERT_TRUE(reply.has_value());
   EXPECT_TRUE(reply->at("ok").as_bool()) << reply->to_string();
@@ -240,7 +281,7 @@ TEST(SimBridge, UnknownFtmYieldsAnErrorCompletion) {
   const auto ticket = fx.bridge.submit_adapt("NOPE");
   fx.bridge.step_quantum();
   const auto reply =
-      fx.bridge.completions().wait(ticket, std::chrono::milliseconds(0));
+      fx.bridge.completions().take(ticket);
   ASSERT_TRUE(reply.has_value());
   EXPECT_TRUE(reply->has("error"));
 }
@@ -281,14 +322,13 @@ TEST(SimBridge, RunStopsOnWatchedFlagAndClosesBoard) {
   std::thread sim_thread([&] { fx.bridge.run(); });
   const auto ticket = fx.bridge.submit_request(
       Value::map().set("op", "get").set("key", "missing"));
-  const auto reply =
-      fx.bridge.completions().wait(ticket, std::chrono::seconds(60));
+  const auto reply = await(fx.bridge.completions(), ticket);
   ASSERT_TRUE(reply.has_value());
   stop.store(true, std::memory_order_release);
   sim_thread.join();
-  // Board is closed after run(): new waits return promptly with nothing.
-  EXPECT_FALSE(
-      fx.bridge.completions().wait(12345, std::chrono::seconds(30)).has_value());
+  // Board is closed after run(): outstanding tickets are final.
+  EXPECT_TRUE(fx.bridge.completions().closed());
+  EXPECT_FALSE(fx.bridge.completions().take(12345).has_value());
 }
 
 }  // namespace

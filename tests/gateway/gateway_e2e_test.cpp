@@ -3,8 +3,10 @@
 // bridge paces it unthrottled on a background thread, the server listens on
 // an ephemeral port — and a plain TCP client performs the health check, a KV
 // round-trip served by the replicated FTM group, and a WebSocket upgrade
-// that receives a status frame. Also the second half of the TSan surface:
-// real sockets, real worker threads, the sim thread, all at once.
+// that receives a status frame. The server's bounds are pinned here too:
+// idle clients cannot starve it, pipelined replies keep their order, and
+// the connection cap answers 503. Also the second half of the TSan surface:
+// real sockets, the server loop, the sim thread, all at once.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -12,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "rcs/ftm/config.hpp"
 #include "rcs/gateway/bridge.hpp"
@@ -34,6 +39,10 @@ class TestClient {
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     connected_ =
         ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    // A server that never answers fails the test instead of hanging it.
+    timeval timeout{};
+    timeout.tv_sec = 5;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   }
   ~TestClient() {
     if (fd_ >= 0) ::close(fd_);
@@ -122,6 +131,11 @@ class TestClient {
   std::string buffer_;
 };
 
+constexpr const char* kUpgrade =
+    "GET /ws HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\n"
+    "Connection: Upgrade\r\nSec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+    "Sec-WebSocket-Version: 13\r\n\r\n";
+
 class GatewayE2E : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -131,7 +145,6 @@ class GatewayE2E : public ::testing::Test {
                                           BridgeOptions{.speed = 0.0});
     ServerOptions options;
     options.port = 0;  // ephemeral
-    options.workers = 2;
     server_ = std::make_unique<GatewayServer>(*bridge_, options);
     std::string error;
     ASSERT_TRUE(server_->start(&error)) << error;
@@ -160,6 +173,8 @@ TEST_F(GatewayE2E, HealthzAnswersOverRealSocket) {
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(response.find("sim_now_us"), std::string::npos);
+  EXPECT_NE(response.find("\"connections_open\":1,"), std::string::npos)
+      << response;
 }
 
 TEST_F(GatewayE2E, KvRoundTripThroughTheFtmGroup) {
@@ -192,10 +207,7 @@ TEST_F(GatewayE2E, MissingKeyAndUnknownRouteShapes) {
 TEST_F(GatewayE2E, WebSocketUpgradeStreamsStatusFrames) {
   TestClient client(server_->port());
   ASSERT_TRUE(client.connected());
-  client.send_all(
-      "GET /ws HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\n"
-      "Connection: Upgrade\r\nSec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
-      "Sec-WebSocket-Version: 13\r\n\r\n");
+  client.send_all(kUpgrade);
   const std::string handshake = client.read_headers();
   EXPECT_NE(handshake.find("101 Switching Protocols"), std::string::npos);
   EXPECT_NE(handshake.find("s3pPLMBiTxaQ9kYGzzhZRbK+xOo="), std::string::npos);
@@ -225,6 +237,86 @@ TEST_F(GatewayE2E, GroupsReportTheActiveFtm) {
   }
   EXPECT_NE(body.find("\"ftm\":\"PBR\""), std::string::npos) << body;
   EXPECT_NE(body.find("replica0"), std::string::npos);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST_F(GatewayE2E, IdleClientsDoNotStarveOtherRequests) {
+  // Subscribers that never read, and clients that connect and never send.
+  std::vector<std::unique_ptr<TestClient>> idle;
+  for (int i = 0; i < 2; ++i) {
+    idle.push_back(std::make_unique<TestClient>(server_->port()));
+    idle.back()->send_all(kUpgrade);
+    ASSERT_NE(idle.back()->read_headers().find("101"), std::string::npos);
+  }
+  for (int i = 0; i < 8; ++i) {
+    idle.push_back(std::make_unique<TestClient>(server_->port()));
+    ASSERT_TRUE(idle.back()->connected());
+  }
+
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  auto start = std::chrono::steady_clock::now();
+  client.send_all("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+  const std::string health = client.read_response();
+  EXPECT_LT(seconds_since(start), 1.0);
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
+
+  start = std::chrono::steady_clock::now();
+  client.send_all(
+      "POST /kv/idle HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n41");
+  const std::string put = client.read_response();
+  client.send_all("GET /kv/idle HTTP/1.1\r\nHost: t\r\n\r\n");
+  const std::string get = client.read_response();
+  EXPECT_LT(seconds_since(start), 1.0);
+  EXPECT_NE(put.find("\"ok\":true"), std::string::npos) << put;
+  EXPECT_NE(get.find("\"value\":41"), std::string::npos) << get;
+}
+
+TEST_F(GatewayE2E, PipelinedRequestsAreAnsweredInOrder) {
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  // The bridged put completes after the immediate /healthz would have: its
+  // reply must still come first.
+  client.send_all(
+      "POST /kv/pipe HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\n\r\n7"
+      "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+  const std::string first = client.read_response();
+  const std::string second = client.read_response();
+  EXPECT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+  EXPECT_NE(second.find("\"status\":\"ok\""), std::string::npos) << second;
+}
+
+TEST_F(GatewayE2E, ConnectionsPastTheCapAreAnswered503) {
+  std::vector<std::unique_ptr<TestClient>> held;
+  for (std::size_t i = 0; i < GatewayServer::kMaxConnections; ++i) {
+    held.push_back(std::make_unique<TestClient>(server_->port()));
+    ASSERT_TRUE(held.back()->connected());
+  }
+  {
+    // Accepted after every held one, so it finds the table full. It sends
+    // nothing: the refusal arrives unasked.
+    TestClient refused(server_->port());
+    ASSERT_TRUE(refused.connected());
+    const std::string response = refused.read_response();
+    EXPECT_NE(response.find("503"), std::string::npos) << response;
+  }
+  // Leaving clients free their slots.
+  held.clear();
+  std::string health;
+  for (int i = 0; i < 100; ++i) {
+    TestClient client(server_->port());
+    ASSERT_TRUE(client.connected());
+    client.send_all("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    health = client.read_response();
+    if (health.find("200 OK") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
 }
 
 }  // namespace

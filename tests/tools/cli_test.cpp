@@ -1,11 +1,15 @@
 // rcs::cli::parse_flag: the whole value must parse and land in range, and a
-// rejected value leaves the destination untouched.
+// rejected value leaves the destination untouched. rcs::cli::write_file:
+// a failed write is reported, including one that fails only at close.
 #include "cli.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 namespace rcs::cli {
 namespace {
@@ -63,6 +67,20 @@ TEST(CliParseFlag, RejectsValuesOutOfRange) {
   EXPECT_FALSE(parse_flag("--window", "0", 1e-3, 86'400.0, window));
   EXPECT_FALSE(parse_flag("--window", "1e9", 1e-3, 86'400.0, window));
   EXPECT_EQ(window, 6.0);
+}
+
+TEST(CliWriteFile, WritesTheBytesAndReportsAFailedFlush) {
+  const std::string path = ::testing::TempDir() + "cli_write_file.txt";
+  ASSERT_TRUE(write_file(path, "trace bytes\n", "trace"));
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  EXPECT_EQ(contents.str(), "trace bytes\n");
+  std::remove(path.c_str());
+
+  // /dev/full accepts the buffered fwrite; the write fails at fclose.
+  EXPECT_FALSE(write_file("/dev/full", "trace bytes\n", "trace"));
+  EXPECT_FALSE(write_file("/nonexistent-dir/out.json", "x", "metrics"));
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 namespace {
 
 using rcs::cli::parse_flag;
+using rcs::cli::write_file;
 using rcs::core::ChaosCampaignOptions;
 using rcs::core::ChaosCampaignResult;
 namespace fsim = rcs::fsim;
@@ -285,18 +286,6 @@ int run_one(const ChaosCampaignOptions& options, bool verbose,
   return report_one(options, result, verbose, campaigns, failures, summary);
 }
 
-bool dump_to(const std::string& path, const std::string& data,
-             const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for %s\n", path.c_str(), what);
-    return false;
-  }
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fclose(f);
-  return ok;
-}
-
 /// Deterministic stdout footer shared by every sweep exit path, so the
 /// serial-vs-jobs cmp gate also covers the coverage accounting.
 void print_coverage_footer(const RunSummary& summary) {
@@ -395,7 +384,8 @@ int run_sweep(const Args& args, RunSummary& summary) {
                 campaigns, failures);
     print_coverage_footer(summary);
     if (!args.coverage_out.empty() &&
-        !dump_to(args.coverage_out, summary.coverage.to_json(), "coverage")) {
+        !write_file(args.coverage_out, summary.coverage.to_json(),
+                    "coverage")) {
       return 2;
     }
     return 0;
@@ -448,7 +438,8 @@ int run_sweep(const Args& args, RunSummary& summary) {
               campaigns, failures);
   print_coverage_footer(summary);
   if (!args.coverage_out.empty() &&
-      !dump_to(args.coverage_out, summary.coverage.to_json(), "coverage")) {
+      !write_file(args.coverage_out, summary.coverage.to_json(),
+                  "coverage")) {
     return 2;
   }
   return 0;
@@ -466,15 +457,15 @@ int run_replay(const Args& args, RunSummary& summary) {
   summary.add(result);
   std::printf("%s", result.trace.c_str());
   if (!args.trace_out.empty() &&
-      !dump_to(args.trace_out, result.trace_json, "trace")) {
+      !write_file(args.trace_out, result.trace_json, "trace")) {
     return 2;
   }
   if (!args.metrics_out.empty() &&
-      !dump_to(args.metrics_out, result.metrics_json, "metrics")) {
+      !write_file(args.metrics_out, result.metrics_json, "metrics")) {
     return 2;
   }
   if (!args.coverage_out.empty() &&
-      !dump_to(args.coverage_out, result.fsim.to_json(), "coverage")) {
+      !write_file(args.coverage_out, result.fsim.to_json(), "coverage")) {
     return 2;
   }
   if (!result.passed) {
@@ -568,7 +559,7 @@ int run_coverage_sweep(const Args& args, RunSummary& summary) {
               static_cast<unsigned long long>(total.fire_total()), campaigns);
   std::printf("%s", total.to_json().c_str());
   if (!args.coverage_out.empty() &&
-      !dump_to(args.coverage_out, total.to_json(), "coverage")) {
+      !write_file(args.coverage_out, total.to_json(), "coverage")) {
     return 2;
   }
   return 0;

@@ -1,16 +1,22 @@
-// Strict numeric flag parsing shared by the command-line tools.
+// Flag parsing and file output shared by the command-line tools.
 //
 // parse_flag accepts a value only if the whole string parses as a T (no
 // leading space, no trailing junk, no sign on an unsigned type) and lands in
 // [min, max]. Anything else prints "bad --flag value: ..." to stderr and
 // returns false; the tools answer that with their usage text and exit 2, so
 // a typo can never silently turn into a different (or empty) run.
+//
+// write_file is the one way the tools write a trace, metrics, coverage,
+// curve or port file: a write that fails, even only when the buffered bytes
+// are flushed at close, is reported and returns false.
 #pragma once
 
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace rcs::cli {
@@ -53,6 +59,21 @@ bool parse_flag(const std::string& flag, const char* text,
   }
   out = value;
   return true;
+}
+
+/// Write `data` to `path` (created or truncated). On failure print "cannot
+/// write <what> to <path>: <reason>" to stderr and return false.
+inline bool write_file(const std::string& path, std::string_view data,
+                       const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  bool ok = f != nullptr &&
+            std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) {
+    std::fprintf(stderr, "cannot write %s to %s: %s\n", what, path.c_str(),
+                 std::strerror(errno));
+  }
+  return ok;
 }
 
 }  // namespace rcs::cli

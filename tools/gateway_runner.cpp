@@ -52,7 +52,6 @@ struct Args {
   std::size_t fleet{0};    // background fleet clients; 0 = external only
   double rps{150.0};       // aggregate fleet offered load
   std::string console{"tools/console/index.html"};
-  int workers{4};
   double quantum_ms{20.0};
   double snapshot_ms{500.0};
   // --- headless mode (mirrors load_runner --scenario adapt) ---
@@ -66,8 +65,8 @@ void usage() {
       "usage: gateway_runner [--bind ADDR] [--port N] [--port-file FILE]\n"
       "                      [--speed X] [--duration SEC] [--seed S]\n"
       "                      [--fleet N] [--rps R] [--console FILE]\n"
-      "                      [--workers N] [--quantum-ms MS]\n"
-      "                      [--snapshot-ms MS] [--verbose]\n"
+      "                      [--quantum-ms MS] [--snapshot-ms MS]\n"
+      "                      [--verbose]\n"
       "       gateway_runner --headless [--seed S] [--clients N] [--rps R]\n"
       "                      [--bandwidth BPS]");
 }
@@ -104,8 +103,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.console = v;
-    } else if (arg == "--workers") {
-      if (!parse_flag(arg, next(), 1, 1024, args.workers)) return false;
     } else if (arg == "--quantum-ms") {
       // Both periods are whole virtual microseconds, so 1 us is the floor.
       if (!parse_flag(arg, next(), 1e-3, 1e6, args.quantum_ms)) return false;
@@ -187,7 +184,6 @@ int run_live(const Args& args) {
   rcs::gateway::ServerOptions server_options;
   server_options.bind = args.bind;
   server_options.port = args.port;
-  server_options.workers = args.workers;
   server_options.console_path = args.console;
   rcs::gateway::GatewayServer server(bridge, server_options);
   std::string error;
@@ -198,15 +194,10 @@ int run_live(const Args& args) {
   bridge.set_publisher(
       [&server](const std::string& frame) { server.publish(frame); });
 
-  if (!args.port_file.empty()) {
-    std::FILE* f = std::fopen(args.port_file.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.port_file.c_str());
-      server.stop();
-      return 2;
-    }
-    std::fprintf(f, "%d\n", server.port());
-    std::fclose(f);
+  if (!args.port_file.empty() &&
+      !rcs::cli::write_file(args.port_file,
+                            std::to_string(server.port()) + "\n", "port")) {
+    return 2;
   }
   std::fprintf(stderr,
                "gateway: listening on http://%s:%d (speed %.2gx, "

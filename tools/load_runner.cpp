@@ -26,6 +26,7 @@
 namespace {
 
 using rcs::cli::parse_flag;
+using rcs::cli::write_file;
 
 /// Bounds of the rate and duration flags (requests per virtual second,
 /// virtual seconds).
@@ -150,18 +151,6 @@ bool parse_args(int argc, char** argv, Args& args) {
   return true;
 }
 
-bool dump_to(const std::string& path, const std::string& data,
-             const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for %s\n", path.c_str(), what);
-    return false;
-  }
-  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fclose(f);
-  return ok;
-}
-
 int run_sweep_mode(const Args& args, rcs::sim::RunStats& stats) {
   rcs::load::SweepOptions options;
   options.seed = args.seed;
@@ -190,7 +179,7 @@ int run_sweep_mode(const Args& args, rcs::sim::RunStats& stats) {
   stats.merge(result.run_stats);
   const std::string json = result.to_json_lines();
   std::fputs(json.c_str(), stdout);
-  if (!args.out.empty() && !dump_to(args.out, json, "sweep curve")) return 2;
+  if (!args.out.empty() && !write_file(args.out, json, "sweep curve")) return 2;
   if (result.knee_index >= 0) {
     std::fprintf(stderr, "knee at step %d (offered %.1f rps)\n",
                  result.knee_index, result.knee_offered_rps());
@@ -217,11 +206,11 @@ int run_scenario_mode(const Args& args, rcs::sim::RunStats& stats) {
   stats.merge(result.run_stats);
   std::fputs(result.trace.c_str(), stdout);
   if (!args.trace_out.empty() &&
-      !dump_to(args.trace_out, result.trace_json, "trace")) {
+      !write_file(args.trace_out, result.trace_json, "trace")) {
     return 2;
   }
   if (!args.metrics_out.empty() &&
-      !dump_to(args.metrics_out, result.metrics_json, "metrics")) {
+      !write_file(args.metrics_out, result.metrics_json, "metrics")) {
     return 2;
   }
   return result.passed ? 0 : 1;

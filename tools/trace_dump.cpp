@@ -316,19 +316,6 @@ bool parse_args(int argc, char** argv, Args& args) {
   return true;
 }
 
-bool write_file(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace_dump: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const bool ok =
-      std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "trace_dump: short write to %s\n", path.c_str());
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -350,14 +337,16 @@ int main(int argc, char** argv) {
 
   if (args.trace_out.empty()) {
     std::fwrite(result.trace_json.data(), 1, result.trace_json.size(), stdout);
-  } else if (!write_file(args.trace_out, result.trace_json)) {
+  } else if (!rcs::cli::write_file(args.trace_out, result.trace_json,
+                                   "trace")) {
     return 1;
   }
   if (args.metrics_to_stdout) {
     std::fwrite(result.metrics_json.data(), 1, result.metrics_json.size(),
                 stdout);
   } else if (!args.metrics_out.empty() &&
-             !write_file(args.metrics_out, result.metrics_json)) {
+             !rcs::cli::write_file(args.metrics_out, result.metrics_json,
+                                   "metrics")) {
     return 1;
   }
 
