@@ -114,9 +114,90 @@ Bytes ByteReader::read_bytes() {
   return b;
 }
 
-std::uint64_t fnv1a(const Bytes& data) {
-  Fnv1a h;
-  h.add(data.data(), data.size());
+namespace {
+
+constexpr std::uint64_t kLaneMul = 0x9e3779b97f4a7c15ULL;  // odd
+
+/// One lane step: a bijection in `word` for a fixed lane, and in `lane` for
+/// a fixed word (xor, multiply by an odd constant, xorshift).
+std::uint64_t hash_step(std::uint64_t lane, std::uint64_t word) {
+  lane = (lane ^ word) * kLaneMul;
+  return lane ^ (lane >> 29);
+}
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+}  // namespace
+
+void Hash64::consume_blocks(const std::uint8_t* data, std::size_t blocks) {
+  std::uint64_t a = lanes_[0];
+  std::uint64_t b = lanes_[1];
+  std::uint64_t c = lanes_[2];
+  std::uint64_t d = lanes_[3];
+  for (; blocks != 0; --blocks, data += kBlock) {
+    a = hash_step(a, load_le64(data));
+    b = hash_step(b, load_le64(data + 8));
+    c = hash_step(c, load_le64(data + 16));
+    d = hash_step(d, load_le64(data + 24));
+  }
+  lanes_[0] = a;
+  lanes_[1] = b;
+  lanes_[2] = c;
+  lanes_[3] = d;
+}
+
+void Hash64::add_spanning(const std::uint8_t* data, std::size_t n) {
+  std::size_t fill = length_ % kBlock;
+  length_ += n;
+  if (fill != 0) {
+    const std::size_t head = kBlock - fill;
+    std::memcpy(buffer_ + fill, data, head);
+    consume_blocks(buffer_, 1);
+    data += head;
+    n -= head;
+  }
+  const std::size_t blocks = n / kBlock;
+  consume_blocks(data, blocks);
+  fill = n - blocks * kBlock;
+  if (fill != 0) std::memcpy(buffer_, data + blocks * kBlock, fill);
+}
+
+std::uint64_t Hash64::value() const {
+  const std::size_t fill = length_ % kBlock;
+  std::uint64_t lanes[4] = {lanes_[0], lanes_[1], lanes_[2], lanes_[3]};
+  const std::size_t words = fill / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    lanes[i] = hash_step(lanes[i], load_le64(buffer_ + 8 * i));
+  }
+  // Bytes of buffer_ past `fill` are stale; the mask zeroes them.
+  const std::size_t tail_bits = 8 * (fill % 8);
+  const std::uint64_t mask = tail_bits == 0 ? 0 : ~0ULL >> (64 - tail_bits);
+  const std::uint64_t tail = load_le64(buffer_ + 8 * words) & mask;
+
+  // Each term times its own odd constant: the sum is a bijection in each.
+  std::uint64_t h =
+      lanes[0] * 0x9e3779b97f4a7c15ULL + lanes[1] * 0xc2b2ae3d27d4eb4fULL +
+      lanes[2] * 0x165667b19e3779f9ULL + lanes[3] * 0xd6e8feb86659fd93ULL +
+      tail * 0xff51afd7ed558ccdULL + length_ * 0xc4ceb9fe1a85ec53ULL;
+  // MurmurHash3's fmix64 finalizer (a bijection) for avalanche.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+std::uint64_t hash64(const std::uint8_t* data, std::size_t n) {
+  Hash64 h;
+  h.add(data, n);
   return h.value();
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,16 @@
 namespace rcs {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// Number of bytes ByteWriter::write_varint(v) appends.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
 
 /// Appends primitive values to a byte buffer.
 class ByteWriter {
@@ -65,21 +76,55 @@ class ByteReader {
   std::size_t pos_{0};
 };
 
-/// FNV-1a digest, used for package integrity checks in the repository.
-[[nodiscard]] std::uint64_t fnv1a(const Bytes& data);
-
-/// Streaming FNV-1a: adding a buffer's bytes in any number of pieces gives
-/// fnv1a() of the whole buffer.
-class Fnv1a {
+/// Streaming 64-bit hash, the one digest behind package checksums and
+/// Value::digest. It reads the input as 8-byte little-endian words, so the
+/// result does not depend on the host's byte order. Word i of each 32-byte
+/// block feeds lane i; a lane step is `(lane ^ word) * odd` then an
+/// xorshift. The final mix steps the 0-3 whole words after the last block
+/// into their lanes, then folds the lanes, the last 0-7 bytes (zero-padded
+/// to one word) and the length, each times its own odd constant, into one
+/// sum, and avalanches it. Every step is a bijection in the word it consumes
+/// and in the state it carries, and the sum is one in each of its terms, so
+/// two inputs of equal length that differ only inside one aligned 8-byte
+/// word always hash differently. Adding a buffer in any number of pieces
+/// gives hash64() of the whole buffer. Not a cryptographic hash: it detects
+/// corruption, not tampering.
+class Hash64 {
  public:
-  void add(std::uint8_t byte) { hash_ = (hash_ ^ byte) * 0x100000001b3ULL; }
   void add(const std::uint8_t* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) add(data[i]);
+    const std::size_t fill = length_ % kBlock;
+    if (fill + n < kBlock) {
+      if (n != 0) std::memcpy(buffer_ + fill, data, n);
+      length_ += n;
+      return;
+    }
+    add_spanning(data, n);
   }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
+  void add(std::uint8_t byte) { add(&byte, 1); }
+  [[nodiscard]] std::uint64_t value() const;
 
  private:
-  std::uint64_t hash_{0xcbf29ce484222325ULL};
+  static constexpr std::size_t kBlock = 32;
+
+  /// The slow path of add(): completes the buffered block, then hashes whole
+  /// blocks straight from `data` and buffers the rest.
+  void add_spanning(const std::uint8_t* data, std::size_t n);
+  void consume_blocks(const std::uint8_t* data, std::size_t blocks);
+
+  std::uint64_t lanes_[4]{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                          0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
+  std::uint8_t buffer_[kBlock]{};  // the first length_ % kBlock bytes count
+  std::uint64_t length_{0};
 };
+
+/// One-shot Hash64: the checksum of a package artifact, and of
+/// Value::encode() output (which Value::digest computes without encoding).
+[[nodiscard]] std::uint64_t hash64(const std::uint8_t* data, std::size_t n);
+[[nodiscard]] inline std::uint64_t hash64(const Bytes& data) {
+  return hash64(data.data(), data.size());
+}
+
+// Kept because e2e_bench/src/layers.cpp (common.fnv1a_ns) calls it.
+[[nodiscard]] inline std::uint64_t fnv1a(const Bytes& d) { return hash64(d); }
 
 }  // namespace rcs

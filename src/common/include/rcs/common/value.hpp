@@ -287,7 +287,7 @@ class Value {
   [[nodiscard]] static Value decode(const Bytes& data);
   /// Encoded size in bytes; used for network traffic accounting.
   [[nodiscard]] std::size_t encoded_size() const;
-  /// fnv1a(encode()), computed without serializing.
+  /// hash64(encode()), computed without serializing.
   [[nodiscard]] std::uint64_t digest() const;
   /// digest() of this map as if its member `key` were erased; throws
   /// ValueError if this is not a map.

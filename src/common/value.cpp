@@ -205,7 +205,8 @@ std::size_t Value::size() const {
 
 namespace {
 
-/// Feeds a Fnv1a hash the exact byte sequence ByteWriter would append.
+/// Feeds a Hash64 the exact byte sequence ByteWriter would append, one
+/// field at a time.
 class DigestWriter {
  public:
   void write_u8(std::uint8_t v) { hash_.add(v); }
@@ -217,11 +218,15 @@ class DigestWriter {
     write_u64(bits);
   }
   void write_varint(std::uint64_t v) {
+    if (v < 0x80) return write_u8(static_cast<std::uint8_t>(v));
+    std::uint8_t out[10];
+    std::size_t n = 0;
     while (v >= 0x80) {
-      hash_.add(static_cast<std::uint8_t>(v) | 0x80);
+      out[n++] = static_cast<std::uint8_t>(v) | 0x80;
       v >>= 7;
     }
-    hash_.add(static_cast<std::uint8_t>(v));
+    out[n++] = static_cast<std::uint8_t>(v);
+    hash_.add(out, n);
   }
   void write_string(std::string_view s) {
     write_varint(s.size());
@@ -235,10 +240,14 @@ class DigestWriter {
 
  private:
   void write_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) hash_.add(static_cast<std::uint8_t>(v >> (8 * i)));
+    std::uint8_t out[8];
+    for (int i = 0; i < 8; ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    hash_.add(out, sizeof(out));
   }
 
-  Fnv1a hash_;
+  Hash64 hash_;
 };
 
 /// The one traversal behind encode() and digest().
@@ -365,17 +374,6 @@ Value Value::decode(const Bytes& data) {
   }
   return v;
 }
-
-namespace {
-constexpr std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-}  // namespace
 
 // Mirrors encode() exactly (tag byte + payload per type) without touching the
 // heap: this runs once per Network::send to price the message, so it must not

@@ -60,7 +60,7 @@ struct PackageEntry {
   std::string type_name;
   std::uint32_t version{1};
   SharedBytes code;
-  std::uint64_t checksum{0};  // fnv1a(code)
+  std::uint64_t checksum{0};  // hash64(code)
 
   [[nodiscard]] static PackageEntry for_type(const ComponentTypeInfo& info);
 };

@@ -37,7 +37,7 @@ PackageEntry PackageEntry::for_type(const ComponentTypeInfo& info) {
   entry.type_name = info.type_name;
   entry.version = info.version;
   entry.code = SharedBytes(synthesize_code(info));
-  entry.checksum = fnv1a(entry.code);
+  entry.checksum = hash64(entry.code);
   return entry;
 }
 
@@ -53,7 +53,14 @@ void ComponentPackage::add_type(const ComponentRegistry& registry,
 }
 
 Bytes ComponentPackage::encode() const {
+  std::size_t size = varint_size(name_.size()) + name_.size() +
+                     varint_size(entries_.size());
+  for (const auto& entry : entries_) {
+    size += varint_size(entry.type_name.size()) + entry.type_name.size() + 4 +
+            varint_size(entry.code.size()) + entry.code.size() + 8;
+  }
   ByteWriter w;
+  w.reserve(size);
   w.write_string(name_);
   w.write_varint(entries_.size());
   for (const auto& entry : entries_) {
@@ -87,7 +94,7 @@ std::size_t ComponentPackage::entry_count(const Bytes& data) {
 }
 
 Status HostLibrary::install(const PackageEntry& entry) {
-  if (fnv1a(entry.code) != entry.checksum) {
+  if (hash64(entry.code) != entry.checksum) {
     return {ErrorCode::kFailedPrecondition,
             strf("package entry '", entry.type_name,
                  "' failed checksum verification")};

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "rcs/common/rng.hpp"
+#include "rcs/common/strf.hpp"
 #include "rcs/common/value.hpp"
 
 namespace rcs {
@@ -166,8 +167,7 @@ TEST(FlatMap, ReferenceIntoACopySurvivesMutationOfTheOriginal) {
   // freed memory under ASan instead of a stale inline buffer.
   Value original = Value::map();
   for (int i = 0; i < 4; ++i) {
-    original.set("k" + std::to_string(i),
-                 "member number " + std::to_string(i) + " of the map");
+    original.set(strf("k", i), strf("member number ", i, " of the map"));
   }
   const Value copy = original;
   const Value& member = copy.at("k2");
@@ -187,7 +187,7 @@ TEST(FlatMap, ThreadsCopyOneSharedMapAndWriteTheirOwnCopies) {
   // the outer block and the inner member's block. Run under TSan in CI.
   Value shared = Value::map();
   for (int i = 0; i < 16; ++i) {
-    shared.set("key" + std::to_string(i),
+    shared.set(strf("key", i),
                Value::map().set("n", i).set("s", std::string(40, 'x')));
   }
   const Value& source = shared;
@@ -204,9 +204,9 @@ TEST(FlatMap, ThreadsCopyOneSharedMapAndWriteTheirOwnCopies) {
         same = same && copy.digest() == expected_digest &&
                copy.encode() == expected &&
                copy.at("key3").at("n") == Value(3);
-        copy.as_map()["key" + std::to_string(round % 16)].set("n", t);
-        copy.set("thread" + std::to_string(t), round);
-        same = same && copy.at("thread" + std::to_string(t)) == Value(round) &&
+        copy.as_map()[strf("key", round % 16)].set("n", t);
+        copy.set(strf("thread", t), round);
+        same = same && copy.at(strf("thread", t)) == Value(round) &&
                source.digest() == expected_digest;
       }
       saw_original[t] = same;
@@ -245,7 +245,7 @@ TEST(FlatMap, NestedValueEncodesToTheTreeMapGolden) {
             "02ffffffffffffffff01ff04046869676802616c010005616c7068610401780462"
             "657461070400000161030000000000000440017a02ffffffffffffffff01ff0404"
             "68696768047a657461020000000000010000");
-  EXPECT_EQ(v.digest(), fnv1a(v.encode()));
+  EXPECT_EQ(v.digest(), hash64(v.encode()));
 }
 
 }  // namespace

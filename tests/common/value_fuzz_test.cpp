@@ -9,6 +9,7 @@
 
 #include "rcs/common/error.hpp"
 #include "rcs/common/rng.hpp"
+#include "rcs/common/strf.hpp"
 #include "rcs/common/value.hpp"
 
 namespace rcs {
@@ -51,8 +52,7 @@ Value random_value(Rng& rng, int depth) {
       ValueMap map;
       const auto n = rng.uniform_int(0, 5);
       for (int i = 0; i < n; ++i) {
-        map["k" + std::to_string(rng.uniform_int(0, 99))] =
-            random_value(rng, depth - 1);
+        map[strf("k", rng.uniform_int(0, 99))] = random_value(rng, depth - 1);
       }
       return Value(std::move(map));
     }
@@ -116,20 +116,20 @@ TEST_P(ValueFuzz, SingleByteCorruptionNeverGoesUnnoticed) {
   }
 }
 
-TEST_P(ValueFuzz, DigestMatchesFnv1aOfEncode) {
+TEST_P(ValueFuzz, DigestMatchesHash64OfEncode) {
   // digest() streams the hash over the encode() traversal; checksums and
   // result digests rely on it being bit-identical to hashing the bytes.
   Rng rng(0xD16E + GetParam());
   for (int i = 0; i < 200; ++i) {
     const Value v = random_value(rng, 3);
-    ASSERT_EQ(v.digest(), fnv1a(v.encode())) << v.to_string();
+    ASSERT_EQ(v.digest(), hash64(v.encode())) << v.to_string();
     if (!v.is_map()) continue;
     Value stripped = v;
     const std::string key = v.size() > 0 && rng.bernoulli(0.5)
                                 ? v.as_map().begin()->first
-                                : "k" + std::to_string(rng.uniform_int(0, 99));
+                                : strf("k", rng.uniform_int(0, 99));
     stripped.as_map().erase(key);
-    ASSERT_EQ(v.digest_without(key), fnv1a(stripped.encode()))
+    ASSERT_EQ(v.digest_without(key), hash64(stripped.encode()))
         << key << " in " << v.to_string();
   }
 }

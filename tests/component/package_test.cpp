@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "rcs/core/repository.hpp"
+#include "rcs/ftm/config.hpp"
+#include "rcs/ftm/registration.hpp"
 #include "rcs/sim/simulation.hpp"
 #include "test_types.hpp"
 
@@ -17,7 +19,7 @@ TEST_F(PackageFixture, EntryCodeMatchesDeclaredSize) {
   const auto& info = registry.info("test.echo");
   const auto entry = PackageEntry::for_type(info);
   EXPECT_EQ(entry.code.size(), info.code_size);
-  EXPECT_EQ(entry.checksum, fnv1a(entry.code));
+  EXPECT_EQ(entry.checksum, hash64(entry.code));
 }
 
 TEST_F(PackageFixture, CodeIsDeterministicPerTypeAndDiffersAcrossTypes) {
@@ -59,6 +61,60 @@ TEST_F(PackageFixture, InstallRejectsCorruptedCode) {
   const Status s = library.install(entry);
   EXPECT_EQ(s.code(), ErrorCode::kFailedPrecondition);
   EXPECT_FALSE(library.installed("test.echo"));
+}
+
+/// `entry` with its code replaced by a copy whose bit `bit` is flipped.
+PackageEntry with_bit_flipped(const PackageEntry& entry, std::size_t bit) {
+  Bytes flipped = entry.code;
+  flipped[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+  PackageEntry corrupted = entry;
+  corrupted.code = SharedBytes(std::move(flipped));
+  return corrupted;
+}
+
+TEST_F(PackageFixture, InstallRejectsEveryBitFlipOfA1000ByteEntry) {
+  ComponentTypeInfo info;
+  info.type_name = "test.flip";
+  info.code_size = 1000;
+  const auto entry = PackageEntry::for_type(info);
+  HostLibrary library;
+  for (std::size_t bit = 0; bit < 8 * info.code_size; ++bit) {
+    ASSERT_EQ(library.install(with_bit_flipped(entry, bit)).code(),
+              ErrorCode::kFailedPrecondition)
+        << "bit " << bit % 8 << " of byte " << bit / 8;
+  }
+  EXPECT_FALSE(library.installed("test.flip"));
+  EXPECT_TRUE(library.install(entry).is_ok());
+}
+
+TEST(PackageVerification, RejectsABitFlipInEveryWordOfTheLargestArtifact) {
+  ComponentRegistry registry;
+  ftm::register_components(registry);
+  const auto& info = registry.info(ftm::kernel::kProtocol);
+  for (const auto& name : registry.type_names()) {
+    ASSERT_LE(registry.info(name).code_size, info.code_size) << name;
+  }
+  const auto entry = PackageEntry::for_type(info);
+  HostLibrary library;
+  for (std::size_t word = 0; word < info.code_size / 8; ++word) {
+    // Walks the flipped bit through all 64 positions of a word.
+    const std::size_t bit = 64 * word + word % 64;
+    ASSERT_EQ(library.install(with_bit_flipped(entry, bit)).code(),
+              ErrorCode::kFailedPrecondition)
+        << "word " << word;
+  }
+  EXPECT_FALSE(library.installed(info.type_name));
+  EXPECT_TRUE(library.install(entry).is_ok());
+}
+
+TEST_F(PackageFixture, EncodeAllocatesExactlyTheEncodedSize) {
+  ComponentPackage package("transition:pbr->lfr");
+  package.add_type(registry, "test.echo");
+  package.add_type(registry, "test.upper");
+  const Bytes wire = package.encode();
+  EXPECT_EQ(wire.capacity(), wire.size());
+  EXPECT_EQ(ComponentPackage::decode(wire).total_code_size(),
+            package.total_code_size());
 }
 
 TEST_F(PackageFixture, InstallPackageStopsAtFirstFailure) {
@@ -149,7 +205,7 @@ TEST_F(RepositoryArtifacts, CorruptingAReceiversCopyLeavesTheArtifactIntact) {
 
   EXPECT_EQ(repository.artifact("test.echo").code.bytes(), original);
   EXPECT_EQ(repository.artifact("test.echo").checksum, checksum);
-  EXPECT_EQ(fnv1a(repository.artifact("test.echo").code), checksum);
+  EXPECT_EQ(hash64(repository.artifact("test.echo").code), checksum);
   HostLibrary second;
   EXPECT_TRUE(second.install(ComponentPackage::decode(wire)).is_ok());
   EXPECT_TRUE(second.installed("test.echo"));

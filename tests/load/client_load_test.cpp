@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "rcs/common/strf.hpp"
 #include "rcs/ftm/client.hpp"
 #include "rcs/ftm/interfaces.hpp"
 #include "rcs/sim/simulation.hpp"
@@ -55,7 +56,7 @@ std::vector<Transmit> lossy_run(std::uint64_t seed) {
   std::vector<Transmit> transmits;
   std::vector<std::unique_ptr<Client>> clients;
   for (int i = 0; i < 6; ++i) {
-    sim::Host& host = sim.add_host("c" + std::to_string(i));
+    sim::Host& host = sim.add_host(strf("c", i));
     sim.network().link(host.id(), server.id()).drop_rate = 0.25;
     auto client = std::make_unique<Client>(
         host, std::vector<HostId>{server.id()}, options);
