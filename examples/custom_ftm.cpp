@@ -43,43 +43,43 @@ class SyncAfterLfrAudit final : public ftm::SyncAfterDuplexBase {
   }
 
  protected:
-  Value master_after(const Value& ctx) override {
+  ftm::Directive master_after(const ftm::RequestCtx& ctx) override {
     audit(ctx);
-    if (!peer_available(ctx)) return done();
+    if (!ctx.peer_available()) return done();
     Value data = Value::map();
-    data.set("key", ctx.at("key")).set("digest", digest(ctx.at("result")));
-    send_peer("after", "notify", std::move(data));
-    count_event("notification");
+    data.set("key", ctx.key).set("digest", digest(ctx.result));
+    kernel().send_peer("after", "notify", std::move(data));
+    kernel().count_event(ftm::Event::kNotification);
     return done();
   }
 
-  Value on_solicited(const Value& ctx, const Value& message) override {
+  ftm::Directive on_solicited(const ftm::RequestCtx& ctx,
+                              const Value& message) override {
     if (message.at("kind").as_string() == "notify" &&
-        message.at("data").at("digest").as_int() != digest(ctx.at("result"))) {
-      report_fault("divergence");
+        message.at("data").at("digest").as_int() != digest(ctx.result)) {
+      kernel().report_fault(ftm::Fault::kDivergence);
     }
     audit(ctx);
     return done();
   }
 
-  Value on_unsolicited(const Value& message) override {
+  ftm::Directive on_unsolicited(const Value& message) override {
     if (message.at("kind").as_string() == "notify") return stash_directive();
-    return Value::map();
+    return {};
   }
 
-  Value forwarded_after(const Value& /*ctx*/) override {
+  ftm::Directive forwarded_after(const ftm::RequestCtx& /*ctx*/) override {
     return wait_for("notify");
   }
 
  private:
-  void audit(const Value& ctx) {
+  void audit(const ftm::RequestCtx& ctx) {
     if (host() == nullptr) return;
     // Certification evidence survives crashes: journal to stable storage.
     Value trail = host()->stable().get("audit.trail");
     if (!trail.is_list()) trail = Value::list();
-    trail.push_back(Value::map()
-                        .set("key", ctx.at("key"))
-                        .set("digest", digest(ctx.at("result"))));
+    trail.push_back(
+        Value::map().set("key", ctx.key).set("digest", digest(ctx.result)));
     host()->stable().put("audit.trail", trail);
   }
 };

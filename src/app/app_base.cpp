@@ -47,16 +47,6 @@ Value AppServerBase::on_invoke(const std::string& service,
       import_full(args);
       return {};
     }
-    if (op == "delta_info") {
-      Value info = Value::map();
-      info.set("stream", static_cast<std::int64_t>(stream_))
-          .set("capture_seq", static_cast<std::int64_t>(capture_seq_))
-          .set("acked_seq", static_cast<std::int64_t>(acked_seq_))
-          .set("applied_stream", static_cast<std::int64_t>(applied_stream_))
-          .set("applied_seq", static_cast<std::int64_t>(applied_seq_))
-          .set("delta_capable", supports_state_delta());
-      return info;
-    }
     throw FtmError(strf("app.state: unknown op '", op, "'"));
   }
   if (service == "assert") {

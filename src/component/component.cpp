@@ -21,15 +21,30 @@ void Component::set_property(const std::string& key, Value value) {
 
 Value Component::invoke(const std::string& service, const std::string& op,
                         const Value& args) {
-  if (state_ != LifecycleState::kStarted) {
-    throw ComponentError(strf("invoke on stopped component '", name_, "' (",
-                              type_name(), "), service '", service, "'"));
-  }
+  if (state_ != LifecycleState::kStarted) throw_stopped(service);
   if (info_->find_service(service) == nullptr) {
     throw ComponentError(strf("component '", name_, "' (", type_name(),
                               ") does not provide service '", service, "'"));
   }
   return on_invoke(service, op, args);
+}
+
+void Component::throw_stopped(const std::string& service) const {
+  throw ComponentError(strf("invoke on stopped component '", name_, "' (",
+                            type_name(), "), service '", service, "'"));
+}
+
+void Component::refuse(std::size_t index, const Component& target,
+                       const char* what) const {
+  throw ComponentError(strf(composite_->name(), ": cannot wire ", name_, ".",
+                            info_->references[index].name, " to '",
+                            target.name(), "' (", target.type_name(),
+                            "): it is not ", what));
+}
+
+void Component::throw_unwired(const std::string& reference) const {
+  throw ComponentError(strf(composite_->name(), ": call through unwired reference ",
+                            name_, ".", reference));
 }
 
 Value Component::call(const std::string& reference, const std::string& op,
@@ -38,11 +53,34 @@ Value Component::call(const std::string& reference, const std::string& op,
   if (composite_ == nullptr) {
     throw LogicError(strf("component '", name_, "' is not inside a composite"));
   }
-  return composite_->call_reference(*this, reference, op, args);
+  const PortSpec* ref = info_->find_reference(reference);
+  if (ref == nullptr) {
+    throw ComponentError(strf(composite_->name(), ": '", name_, "' (",
+                              type_name(), ") has no reference '", reference,
+                              "'"));
+  }
+  const Link& link = links_[static_cast<std::size_t>(ref - info_->references.data())];
+  if (link.target == nullptr) throw_unwired(reference);
+  // The service was checked when the wire was made.
+  if (!link.target->started()) link.target->throw_stopped(*link.service);
+  return link.target->on_invoke(*link.service, op, args);
+}
+
+Component& Component::linked(std::size_t index) const {
+  if (index >= links_.size()) {
+    throw LogicError(strf("component '", name_, "': no reference at ", index));
+  }
+  const Link& link = links_[index];
+  if (link.target == nullptr) throw_unwired(info_->references[index].name);
+  if (!link.target->started()) link.target->throw_stopped(*link.service);
+  return *link.target;
 }
 
 bool Component::wired(const std::string& reference) const {
-  return composite_ != nullptr && composite_->is_wired(name_, reference);
+  const PortSpec* ref = info_ != nullptr ? info_->find_reference(reference) : nullptr;
+  return ref != nullptr &&
+         links_[static_cast<std::size_t>(ref - info_->references.data())].target !=
+             nullptr;
 }
 
 ComponentTypeInfo LambdaComponent::make_type(std::string type_name,

@@ -36,6 +36,7 @@ Component& Composite::add(const std::string& type_name,
   component->info_ = &info;
   component->composite_ = this;
   component->properties_ = info.default_properties;
+  component->links_.resize(info.references.size());
   Component& ref = *component;
   children_.emplace(instance_name, std::move(component));
   log().trace("comp", name_, ": add ", instance_name, " : ", type_name);
@@ -110,6 +111,10 @@ void Composite::wire(const std::string& from, const std::string& reference,
     throw ComponentError(strf(name_, ": reference ", from, ".", reference,
                               " is already wired"));
   }
+  const auto index =
+      static_cast<std::size_t>(ref_spec - from_c.info().references.data());
+  from_c.on_wire(index, to_c);
+  from_c.links_[index] = {&to_c, &svc_spec->name};
   wires_.emplace(key, Wire{to, service});
   log().trace("comp", name_, ": wire ", from, ".", reference, " -> ", to, ".",
               service);
@@ -123,6 +128,10 @@ void Composite::unwire(const std::string& from, const std::string& reference) {
                               " is not wired"));
   }
   wires_.erase(it);
+  Component& from_c = child(from);
+  const PortSpec* ref_spec = from_c.info().find_reference(reference);
+  from_c.links_[static_cast<std::size_t>(
+      ref_spec - from_c.info().references.data())] = {};
   log().trace("comp", name_, ": unwire ", from, ".", reference);
 }
 
@@ -212,22 +221,6 @@ Value Composite::invoke(const std::string& instance_name,
                         const std::string& service, const std::string& op,
                         const Value& args) {
   return child(instance_name).invoke(service, op, args);
-}
-
-Value Composite::call_reference(const Component& from,
-                                const std::string& reference,
-                                const std::string& op, const Value& args) {
-  if (from.info().find_reference(reference) == nullptr) {
-    throw ComponentError(strf(name_, ": '", from.name(), "' (",
-                              from.type_name(), ") has no reference '",
-                              reference, "'"));
-  }
-  const auto it = wires_.find(std::make_pair(from.name(), reference));
-  if (it == wires_.end()) {
-    throw ComponentError(strf(name_, ": call through unwired reference ",
-                              from.name(), ".", reference));
-  }
-  return child(it->second.to_component).invoke(it->second.service, op, args);
 }
 
 }  // namespace rcs::comp

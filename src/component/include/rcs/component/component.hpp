@@ -7,9 +7,13 @@
 // resolves through the current wire set. This indirection is the paper's key
 // enabler: a reconfiguration script can replace the component at the other
 // end of a wire between two requests, and the caller never notices.
+// Each wire is resolved once, when it is made, into the caller's link table
+// (one entry per declared reference); calls index it. on_wire may refuse a
+// target at bind time, which lets typed callers use linked<T>() unchecked.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "rcs/common/value.hpp"
 #include "rcs/component/ports.hpp"
@@ -51,6 +55,15 @@ class Component {
   /// ComponentError if the component is stopped or the service is undeclared.
   Value invoke(const std::string& service, const std::string& op, const Value& args);
 
+  /// One resolved wire: the component at the other end of a reference and
+  /// the service it was wired to (null target = unwired).
+  struct Link {
+    Component* target{nullptr};
+    const std::string* service{nullptr};
+  };
+  /// The link table entry of the reference at `index` in info().references.
+  [[nodiscard]] const Link& link(std::size_t index) const { return links_.at(index); }
+
  protected:
   Component() = default;
 
@@ -71,9 +84,40 @@ class Component {
   /// True if the reference is currently wired (for optional references).
   [[nodiscard]] bool wired(const std::string& reference) const;
 
+  /// Bind-time check, called by Composite::wire before the reference at
+  /// `index` in info().references is bound to `target`. Throw ComponentError
+  /// to refuse the target; the wire is then not made.
+  virtual void on_wire(std::size_t /*index*/, const Component& /*target*/) {}
+  /// For on_wire overrides: refuse `target` unless it is a T (`what` names
+  /// T in the error message).
+  template <typename T>
+  void require_target(std::size_t index, const Component& target,
+                      const char* what) const {
+    if (dynamic_cast<const T*>(&target) == nullptr) refuse(index, target, what);
+  }
+
+  /// A reference position that names no reference (an unresolved index).
+  static constexpr std::size_t kNoReference = static_cast<std::size_t>(-1);
+
+  /// The started component wired to the reference at `index`. Throws the
+  /// same ComponentError as call() when the reference is unwired or its
+  /// target is stopped (LogicError for kNoReference).
+  [[nodiscard]] Component& linked(std::size_t index) const;
+  /// linked() cast to the type that on_wire admitted for this reference.
+  template <typename T>
+  [[nodiscard]] T& linked(std::size_t index) const {
+    return static_cast<T&>(linked(index));
+  }
+
  private:
   friend class Composite;
 
+  [[noreturn]] void refuse(std::size_t index, const Component& target,
+                           const char* what) const;
+  [[noreturn]] void throw_unwired(const std::string& reference) const;
+  [[noreturn]] void throw_stopped(const std::string& service) const;
+
+  std::vector<Link> links_;  // one entry per info().references
   std::string name_;
   const ComponentTypeInfo* info_{nullptr};
   Composite* composite_{nullptr};

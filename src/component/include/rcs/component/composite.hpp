@@ -98,13 +98,6 @@ class Composite {
                const std::string& op, const Value& args);
 
  private:
-  friend class Component;
-
-  /// Resolve `from_component.reference` through the wire set and invoke the
-  /// target service. Called by Component::call.
-  Value call_reference(const Component& from, const std::string& reference,
-                       const std::string& op, const Value& args);
-
   struct Wire {
     std::string to_component;
     std::string service;
@@ -113,7 +106,9 @@ class Composite {
   std::string name_;
   Env env_;
   std::map<std::string, std::unique_ptr<Component>> children_;
-  // (component name, reference name) -> wire target
+  // (component name, reference name) -> wire target: the introspection
+  // record. Calls go through each component's link table, which wire and
+  // unwire keep in step with this map.
   std::map<std::pair<std::string, std::string>, Wire> wires_;
 };
 

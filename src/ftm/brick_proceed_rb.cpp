@@ -9,8 +9,6 @@
 // Per the paper, "for RB, an update consists of changing the acceptance
 // test": swapping the application's assertion (or this brick, via
 // refresh_brick) upgrades the coverage without touching the FTM.
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -19,23 +17,9 @@ namespace rcs::ftm {
 namespace {
 
 class ProceedRb final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& args) override {
-    if (op == "process") return process(args);
-    if (op == "on_peer") return Value::map();
-    throw FtmError(strf("proceed.rb: unknown op '", op, "'"));
-  }
-
- private:
-  bool accept(const Value& request, const Value& result) {
-    return call("assertion", "check",
-                Value::map().set("request", request).set("result", result))
-        .as_bool();
-  }
-
-  Value process(const Value& ctx) {
-    const Value& request = ctx.at("request");
+ public:
+  Directive proceed(const RequestCtx& ctx) override {
+    const Value& request = ctx.request;
     const bool has_state = wired("state");
 
     Value snapshot;
@@ -50,19 +34,26 @@ class ProceedRb final : public FtmBrick {
     } else {
       // Acceptance test rejected the primary variant: restore the state and
       // fall back to the alternate.
-      report_fault("acceptance_failed");
+      kernel().report_fault(Fault::kAcceptanceFailed);
       if (has_state) call("state", "set", snapshot);
       const Value alternate =
           call("server", "process_alt", Value::map().set("request", request));
       cpu += alternate.at("cpu_us").as_int();
       if (!accept(request, alternate.at("result"))) {
-        report_fault("both_variants_rejected");
+        kernel().report_fault(Fault::kBothVariantsRejected);
         return fail_with("recovery blocks: both variants failed acceptance");
       }
       result = alternate.at("result");
     }
-    resume_after(ctx.at("key").as_string(), cpu, std::move(result));
+    kernel().resume_after(ctx.key, cpu, std::move(result));
     return wait_for("");
+  }
+
+ private:
+  bool accept(const Value& request, const Value& result) {
+    return call("assertion", "check",
+                Value::map().set("request", request).set("result", result))
+        .as_bool();
   }
 };
 

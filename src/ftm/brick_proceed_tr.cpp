@@ -7,8 +7,6 @@
 // means the fault was not transient — the request fails. Following §5.2, the
 // whole TR behaviour lives in this single proceed component so that
 // LFR -> LFR⊕TR replaces exactly one brick.
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
 
@@ -17,17 +15,9 @@ namespace rcs::ftm {
 namespace {
 
 class ProceedTr final : public FtmBrick {
- protected:
-  Value on_invoke(const std::string& /*service*/, const std::string& op,
-                  const Value& args) override {
-    if (op == "process") return process(args);
-    if (op == "on_peer") return Value::map();
-    throw FtmError(strf("proceed.tr: unknown op '", op, "'"));
-  }
-
- private:
-  Value process(const Value& ctx) {
-    const Value& request = ctx.at("request");
+ public:
+  Directive proceed(const RequestCtx& ctx) override {
+    const Value& request = ctx.request;
     const bool has_state = wired("state");
 
     // Capture state before the first execution (Table 2, Before column for
@@ -47,7 +37,7 @@ class ProceedTr final : public FtmBrick {
       result = second.at("result");
     } else {
       // Results differ: transient fault suspected. Third run, majority vote.
-      report_fault("tr_mismatch");
+      kernel().report_fault(Fault::kTrMismatch);
       if (has_state) call("state", "set", snapshot);
       const Value third = run_server(request);
       cpu += third.at("cpu_us").as_int();
@@ -62,12 +52,12 @@ class ProceedTr final : public FtmBrick {
         // Three distinct results: the fault is not transient (permanent
         // fault or non-deterministic application) — report the evidence to
         // the monitoring path and fail the request.
-        report_fault("tr_no_majority");
+        kernel().report_fault(Fault::kTrNoMajority);
         return fail_with(
             "time redundancy: no majority among three executions");
       }
     }
-    resume_after(ctx.at("key").as_string(), cpu, std::move(result));
+    kernel().resume_after(ctx.key, cpu, std::move(result));
     return wait_for("");
   }
 };

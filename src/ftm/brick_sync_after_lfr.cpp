@@ -10,8 +10,6 @@
 //
 // With with_assertion=true this is A&LFR's syncAfter (assert, re-execute on
 // the follower on failure, then notify).
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/config.hpp"
 #include "rcs/ftm/sync_after_duplex.hpp"
 
@@ -25,27 +23,28 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
       : SyncAfterDuplexBase(with_assertion) {}
 
  protected:
-  Value master_after(const Value& ctx) override {
-    if (!peer_available(ctx)) return done();
+  Directive master_after(const RequestCtx& ctx) override {
+    if (!ctx.peer_available()) return done();
     Value data = Value::map();
-    data.set("key", ctx.at("key")).set("digest", digest(ctx.at("result")));
-    send_peer("after", "notify", std::move(data));
-    count_event("notification");
+    data.set("key", ctx.key).set("digest", digest(ctx.result));
+    ProtocolKernel& control = kernel();
+    control.send_peer("after", "notify", std::move(data));
+    control.count_event(Event::kNotification);
     return done();  // fire-and-forget: the client reply is not gated
   }
 
-  Value on_solicited(const Value& ctx, const Value& message) override {
+  Directive on_solicited(const RequestCtx& ctx, const Value& message) override {
     // Follower received the leader's notification for its forwarded context.
     if (message.at("kind").as_string() == "notify") {
       const auto leader_digest = message.at("data").at("digest").as_int();
-      if (leader_digest != digest(ctx.at("result"))) {
-        report_fault("divergence");
+      if (leader_digest != digest(ctx.result)) {
+        kernel().report_fault(Fault::kDivergence);
       }
     }
     return done();
   }
 
-  Value on_unsolicited(const Value& message) override {
+  Directive on_unsolicited(const Value& message) override {
     // A notification can overtake its forwarded request on a jittery link;
     // park it in the kernel's stash until the context reaches After. The
     // A&LFR follower never waits for one (see forwarded_after), so a stashed
@@ -53,21 +52,21 @@ class SyncAfterLfr final : public SyncAfterDuplexBase {
     if (!with_assertion() && message.at("kind").as_string() == "notify") {
       return stash_directive();
     }
-    return Value::map();
+    return {};
   }
 
-  Value forwarded_after(const Value& ctx) override {
+  Directive forwarded_after(const RequestCtx& ctx) override {
     if (with_assertion()) {
       // A&LFR follower: validate the local result with the assertion and
       // complete immediately. Waiting for the leader's notification would
       // deadlock when the leader itself is waiting for our re-execution of
       // a result that failed ITS assertion.
-      if (!check_assertion(ctx.at("request"), ctx.at("result"))) {
-        report_fault("assertion_failed");
+      if (!check_assertion(ctx.request, ctx.result)) {
+        kernel().report_fault(Fault::kAssertionFailed);
       }
       return done();
     }
-    if (ctx.get_or("attempt", Value(0)).as_int() >= 3) {
+    if (ctx.attempt >= 3) {
       // The leader's notification was lost (or the leader moved on); keep
       // our own result rather than waiting forever.
       return done();

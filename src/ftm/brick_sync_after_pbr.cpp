@@ -10,8 +10,6 @@
 // composition's syncAfter: assert the output first (re-executing on the
 // backup when the assertion fails), then checkpoint. This is why
 // PBR -> A&PBR is a one-component differential transition.
-#include "rcs/common/error.hpp"
-#include "rcs/common/strf.hpp"
 #include "rcs/ftm/config.hpp"
 #include "rcs/ftm/sync_after_duplex.hpp"
 
@@ -25,11 +23,12 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       : SyncAfterDuplexBase(with_assertion) {}
 
  protected:
-  Value master_after(const Value& ctx) override {
-    const auto group = alive_peers();
-    if (group.empty() || !peer_available(ctx)) return done();  // master-alone
+  Directive master_after(const RequestCtx& ctx) override {
+    ProtocolKernel& control = kernel();
+    const auto group = static_cast<int>(control.alive_peers().size());
+    if (group == 0 || !ctx.peer_available()) return done();  // master-alone
     Value data = Value::map();
-    data.set("key", ctx.at("key"));
+    data.set("key", ctx.key);
     if (delta_enabled()) {
       // Incremental checkpoint: only the state mutated since the backup's
       // last ack, plus the reply-log entries it has not acknowledged. A
@@ -37,21 +36,22 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       // never narrows it — so the backup can always catch up or detect a gap.
       if (wired("state")) {
         Value ckpt = call("state", "capture_delta");
-        count_event(ckpt.at("full").as_bool() ? "full_checkpoint_sent"
-                                              : "delta_sent");
+        control.count_event(ckpt.at("full").as_bool() ? Event::kFullCheckpointSent
+                                                      : Event::kDeltaSent);
         data.set("ckpt", std::move(ckpt));
       }
-      data.set("rlog", call("replyLog", "export_since"));
+      data.set("rlog", reply_log().export_since());
     } else {
-      data.set("state", capture_state()).set("replies", export_replies());
-      count_event("full_checkpoint_sent");
+      data.set("state", capture_state()).set("replies", reply_log().export_all());
+      control.count_event(Event::kFullCheckpointSent);
     }
     // The current request's reply is recorded in the reply log only after
     // this phase completes, so ship it explicitly: at-most-once must hold on
     // the backup even if we crash right after answering the client.
-    data.set("pending_reply", Value::map()
-                                  .set("id", ctx.at("id"))
-                                  .set("result", ctx.at("result")));
+    data.set("pending_reply",
+             Value::map()
+                 .set("id", static_cast<std::int64_t>(ctx.id))
+                 .set("result", ctx.result));
     if (auto* fsim = fsim_registry()) {
       // fsim "ckpt.serialize": the capture/encode of this checkpoint fails.
       // Skip the send but wait as usual — the kernel's peer-retry loop
@@ -60,22 +60,22 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       const fsim::Site site{delta_enabled() ? "primary/delta" : "primary/full",
                             data.encoded_size(), fsim_now()};
       if (fsim->should_fail(fsim::Point::kCkptSerialize, site)) {
-        trace_instant("fsim.ckpt.serialize", trace_of(ctx));
-        return wait_for_group("checkpoint_ack", static_cast<int>(group.size()));
+        trace_instant("fsim.ckpt.serialize", ctx.trace);
+        return wait_for_group("checkpoint_ack", group);
       }
     }
     if (tracing()) {
-      trace_instant("ckpt.send", trace_of(ctx),
+      trace_instant("ckpt.send", ctx.trace,
                     static_cast<std::int64_t>(data.encoded_size()));
     }
-    send_peer("after", "checkpoint", std::move(data));
-    count_event("checkpoint_sent");
+    control.send_peer("after", "checkpoint", std::move(data));
+    control.count_event(Event::kCheckpointSent);
     // Wait for every live backup to acknowledge before answering the client
     // (no acknowledged request can be lost to a failover).
-    return wait_for_group("checkpoint_ack", static_cast<int>(group.size()));
+    return wait_for_group("checkpoint_ack", group);
   }
 
-  Value on_solicited(const Value& /*ctx*/, const Value& message) override {
+  Directive on_solicited(const RequestCtx& /*ctx*/, const Value& message) override {
     if (message.at("kind").as_string() == "checkpoint_ack") {
       // The whole group confirmed this checkpoint: it will never need to be
       // retransmitted, so drop its dirty keys and reply-log entries from
@@ -85,15 +85,14 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
         call("state", "ack_delta", Value::map().set("seq", data.at("seq")));
       }
       if (data.is_map() && data.has("upto")) {
-        call("replyLog", "ack_export",
-             Value::map().set("upto", data.at("upto")));
+        reply_log().ack_export(static_cast<std::uint64_t>(data.at("upto").as_int()));
       }
       return done();
     }
     return done();  // anything else while waiting: treat as completion
   }
 
-  Value on_unsolicited(const Value& message) override {
+  Directive on_unsolicited(const Value& message) override {
     const std::string& kind = message.at("kind").as_string();
     if (kind == "checkpoint") {
       const Value& data = message.at("data");
@@ -109,21 +108,22 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
         const fsim::Site site{"backup/full", data.encoded_size(), fsim_now()};
         if (fsim->should_fail(fsim::Point::kCkptApply, site)) {
           trace_instant("fsim.ckpt.apply", 0, from);
-          return Value::map();
+          return {};
         }
       }
       if (!data.at("state").is_null()) restore_state(data.at("state"));
-      import_replies(data.at("replies"));
+      reply_log().import_all(data.at("replies"));
       record_pending_reply(data);
-      count_event("checkpoint_applied");
+      ProtocolKernel& control = kernel();
+      control.count_event(Event::kCheckpointApplied);
       trace_instant("ckpt.apply", 0, from);
-      send_peer_to(from, "after", "checkpoint_ack",
-                   Value::map().set("key", data.at("key")));
+      control.send_peer_to(from, "after", "checkpoint_ack",
+                           Value::map().set("key", data.at("key")));
     }
-    return Value::map();
+    return {};
   }
 
-  Value forwarded_after(const Value& /*ctx*/) override {
+  Directive forwarded_after(const RequestCtx& /*ctx*/) override {
     // PBR backups never run forwarded pipelines; nothing to synchronize.
     return done();
   }
@@ -136,13 +136,10 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
 
   void record_pending_reply(const Value& data) {
     if (!data.has("pending_reply")) return;
-    call("replyLog", "record",
-         Value::map()
-             .set("key", data.at("key"))
-             .set("reply", data.at("pending_reply")));
+    reply_log().record(data.at("key").as_string(), data.at("pending_reply"));
   }
 
-  Value apply_delta_checkpoint(const Value& data, std::int64_t from) {
+  Directive apply_delta_checkpoint(const Value& data, std::int64_t from) {
     Value ack = Value::map().set("key", data.at("key"));
     bool ok = true;
     if (auto* fsim = fsim_registry()) {
@@ -161,24 +158,24 @@ class SyncAfterPbr final : public SyncAfterDuplexBase {
       if (ok) ack.set("seq", data.at("ckpt").at("seq"));
     }
     if (ok && data.has("rlog")) {
-      const Value imported = call("replyLog", "import_delta", data.at("rlog"));
-      ok = imported.at("ok").as_bool();
+      ok = reply_log().import_delta(data.at("rlog"));
       if (ok) ack.set("upto", data.at("rlog").at("upto"));
     }
+    ProtocolKernel& control = kernel();
     if (!ok) {
       // We missed checkpoints (restart, loss burst, or a new primary's
       // stream): ask for a full resync through the join path and withhold
       // the ack — the primary's retry loop re-sends once we caught up.
-      count_event("resync_requested");
+      control.count_event(Event::kResyncRequested);
       trace_instant("ckpt.resync", 0, from);
-      call("control", "join", Value::map());
-      return Value::map();
+      control.join();
+      return {};
     }
     record_pending_reply(data);
-    count_event("checkpoint_applied");
+    control.count_event(Event::kCheckpointApplied);
     trace_instant("ckpt.apply", 0, from);
-    send_peer_to(from, "after", "checkpoint_ack", std::move(ack));
-    return Value::map();
+    control.send_peer_to(from, "after", "checkpoint_ack", std::move(ack));
+    return {};
   }
 };
 

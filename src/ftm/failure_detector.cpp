@@ -35,12 +35,9 @@ sim::Duration FailureDetectorComponent::timeout() const {
   return property("timeout_us").as_int();
 }
 
-std::vector<std::int64_t> FailureDetectorComponent::peer_ids() {
-  const Value group = call("control", "peers");
-  std::vector<std::int64_t> peers;
-  peers.reserve(group.as_list().size());
-  for (const auto& entry : group.as_list()) peers.push_back(entry.as_int());
-  return peers;
+void FailureDetectorComponent::on_wire(std::size_t index,
+                                       const comp::Component& target) {
+  require_target<ProtocolKernel>(index, target, "a protocol kernel");
 }
 
 void FailureDetectorComponent::on_start() {
@@ -71,7 +68,7 @@ void FailureDetectorComponent::beat() {
   // All peers get the identical beacon: build it once, share the payload.
   const Payload beacon{Value::map().set(
       "from", static_cast<std::int64_t>(host()->id().value()))};
-  for (const auto peer : peer_ids()) {
+  for (const auto peer : kernel().peers()) {
     if (peer < 0) continue;
     host()->send(HostId{static_cast<std::uint32_t>(peer)}, msg::kHeartbeat,
                  beacon);
@@ -85,7 +82,9 @@ void FailureDetectorComponent::check() {
   const Value grace_prop = property("startup_grace_us");
   const sim::Duration grace =
       grace_prop.is_int() ? grace_prop.as_int() : kDefaultStartupGrace;
-  for (const auto peer : peer_ids()) {
+  // A copy: a suspicion below can change the kernel's group.
+  const std::vector<std::int64_t> peers = kernel().peers();
+  for (const auto peer : peers) {
     if (peer < 0 || suspected_.contains(peer)) continue;
     const auto it = last_heard_.find(peer);
     if (it == last_heard_.end()) {
@@ -99,7 +98,7 @@ void FailureDetectorComponent::check() {
       suspected_.insert(peer);
       log().info("fd", host()->name(), ": peer h", peer,
                  " suspected (silent for ", now - heard, "us)");
-      call("control", "peer_suspected", Value::map().set("host", peer));
+      kernel().on_peer_suspected(peer);
     }
   }
   check_timer_ =
@@ -115,12 +114,11 @@ Value FailureDetectorComponent::on_invoke(const std::string& /*service*/,
     if (suspected_.erase(from) > 0) {
       log().info("fd", host() ? host()->name() : "?", ": peer h", from,
                  " heard again, recovered");
-      call("control", "peer_recovered", Value::map().set("host", from));
+      kernel().on_peer_recovered(from);
     }
     return {};
   }
   if (op == "peer_alive") return Value(suspected_.empty());
-  if (op == "suspected") return Value(!suspected_.empty());
   throw FtmError(strf("failureDetector: unknown op '", op, "'"));
 }
 

@@ -2,12 +2,15 @@
 //
 // Each brick is a small *stateless* component filling one slot of the FTM
 // composite; differential transitions replace exactly these (§5.2). Brick
-// protocol (driven by the kernel):
-//   op "before"/"process"/"after" (by slot)  args: ctx view
-//   op "on_peer"       args: {ctx: view|null, message}
-// returning a status directive map — see protocol.hpp. On group-membership
-// changes and retransmission timeouts the kernel simply re-runs the waiting
-// phase (ctx carries "attempt"), so bricks stay stateless.
+// protocol (driven by the kernel, typed; see protocol.hpp):
+//   before / proceed / after (by slot)   (const RequestCtx&) -> Directive
+//   on_peer                (const RequestCtx* ctx or null, message) -> Directive
+//   make_join_snapshot / apply_join_snapshot   (syncAfter: replica rejoin)
+// On group-membership changes and retransmission timeouts the kernel simply
+// re-runs the waiting phase (the ctx carries `attempt`), so bricks stay
+// stateless. Bricks reach the kernel through their `control` link and the
+// reply log through their `replyLog` link; both are type-checked when the
+// wire is made, and the kernel admits only FtmBricks into its slots.
 //
 //   FTM slot content (Table 2):
 //     PBR  primary:  -            / compute / checkpoint to backup
@@ -18,103 +21,105 @@
 //     A&Duplex:      -            / compute / assert output (+ re-exec on peer)
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
+#include "rcs/common/error.hpp"
+#include "rcs/common/strf.hpp"
 #include "rcs/component/component.hpp"
 #include "rcs/ftm/interfaces.hpp"
+#include "rcs/ftm/protocol.hpp"
+#include "rcs/ftm/reply_log.hpp"
 #include "rcs/sim/host.hpp"
 #include "rcs/sim/simulation.hpp"
 
 namespace rcs::ftm {
 
-/// Common helpers for brick implementations. Bricks keep NO per-request
-/// state: everything flows through the ctx view and the kernel's stash.
+/// Base of every brick. Bricks keep NO per-request state: everything flows
+/// through the RequestCtx and the kernel's stash.
 class FtmBrick : public comp::Component {
+ public:
+  /// The phase calls; a brick overrides the one its slot runs.
+  virtual Directive before(const RequestCtx&) { return no_phase("before"); }
+  virtual Directive proceed(const RequestCtx&) { return no_phase("proceed"); }
+  virtual Directive after(const RequestCtx&) { return no_phase("after"); }
+  /// A peer message: solicited (ctx = the context that waited for it) or
+  /// unsolicited (ctx = null; only stash / defer are read back).
+  virtual Directive on_peer(const RequestCtx* /*ctx*/, const Value& /*message*/) {
+    return {};
+  }
+  /// Replica rejoin (syncAfter): the master's snapshot for a joiner, and its
+  /// application on the joiner.
+  virtual Value make_join_snapshot() { return Value::map(); }
+  virtual void apply_join_snapshot(const Value& /*snapshot*/) {}
+
  protected:
-  // --- Status directives ---------------------------------------------------
-  [[nodiscard]] static Value done() {
-    return Value::map().set("status", "done");
+  /// Bricks take typed calls only.
+  Value on_invoke(const std::string& service, const std::string& op,
+                  const Value& /*args*/) final {
+    throw FtmError(strf(type_name(), ": bricks take typed calls only (",
+                        service, ".", op, ")"));
   }
-  [[nodiscard]] static Value done_with(Value result) {
-    return Value::map().set("status", "done").set("result", std::move(result));
+  /// Admits only a protocol kernel on the control reference and only a
+  /// reply log on a reply-log reference.
+  void on_wire(std::size_t index, const comp::Component& target) override {
+    const std::string& interface_name = info().references[index].interface_name;
+    if (interface_name == iface::kProtocolControl) {
+      require_target<ProtocolKernel>(index, target, "a protocol kernel");
+      control_ref_ = index;
+    } else if (interface_name == iface::kReplyLog) {
+      require_target<ReplyLogComponent>(index, target, "a reply log");
+      reply_log_ref_ = index;
+    }
   }
-  /// Wait for a peer message of `kind` (empty = wait for control.resume).
-  [[nodiscard]] static Value wait_for(const std::string& kind) {
-    return Value::map().set("status", "wait").set("expect", kind);
+
+  // --- Directives ------------------------------------------------------------
+  [[nodiscard]] static Directive done() { return {}; }
+  [[nodiscard]] static Directive done_with(Value result) {
+    return make(Verdict::kDone, std::move(result));
+  }
+  /// Wait for a peer message of `kind` (empty = wait for resume_after).
+  [[nodiscard]] static Directive wait_for(std::string_view kind) {
+    return wait_for_group(kind, 1);
   }
   /// Wait for `count` matching peer messages, one per group member
   /// (checkpoint acks from N backups). count <= 0 completes immediately.
-  [[nodiscard]] static Value wait_for_group(const std::string& kind, int count) {
-    return Value::map()
-        .set("status", "wait")
-        .set("expect", kind)
-        .set("expect_count", count);
+  [[nodiscard]] static Directive wait_for_group(std::string_view kind, int count) {
+    Directive directive = make(Verdict::kWait);
+    directive.expect = kind;
+    directive.expect_count = count;
+    return directive;
   }
-  [[nodiscard]] static Value again_with(Value result) {
-    return Value::map().set("status", "again").set("result", std::move(result));
+  [[nodiscard]] static Directive again_with(Value result) {
+    return make(Verdict::kAgain, std::move(result));
   }
-  [[nodiscard]] static Value fail_with(const std::string& error) {
-    return Value::map().set("status", "fail").set("error", error);
+  [[nodiscard]] static Directive fail_with(std::string error) {
+    Directive directive = make(Verdict::kFail);
+    directive.error = std::move(error);
+    return directive;
   }
-  [[nodiscard]] static Value stash_directive() {
-    return Value::map().set("stash", true);
+  [[nodiscard]] static Directive stash_directive() {
+    Directive directive;
+    directive.stash = true;
+    return directive;
   }
   /// Ask the kernel to replay this unsolicited message once the local
   /// pipeline for its key has finished.
-  [[nodiscard]] static Value defer_directive() {
-    return Value::map().set("defer", true);
+  [[nodiscard]] static Directive defer_directive() {
+    Directive directive;
+    directive.defer = true;
+    return directive;
   }
 
-  // --- Kernel access through the control reference -------------------------
-  [[nodiscard]] Value kernel_info() { return call("control", "info"); }
-  [[nodiscard]] bool is_master(const Value& ctx) const {
-    const auto& role = ctx.at("role").as_string();
-    return role == "primary" || role == "alone";
+  // --- Linked components -----------------------------------------------------
+  /// The kernel's typed control interface, through the control link.
+  [[nodiscard]] ProtocolKernel& kernel() const {
+    return linked<ProtocolKernel>(control_ref_);
   }
-  [[nodiscard]] static bool peer_available(const Value& ctx) {
-    return ctx.at("peer_alive").as_bool() && ctx.at("role").as_string() != "alone";
-  }
-
-  void send_peer(const std::string& phase, const std::string& kind, Value data) {
-    Value args = Value::map();
-    args.set("phase", phase).set("kind", kind).set("data", std::move(data));
-    call("control", "send_peer", args);
-  }
-
-  void send_peer_to(std::int64_t host, const std::string& phase,
-                    const std::string& kind, Value data) {
-    Value args = Value::map();
-    args.set("host", host)
-        .set("phase", phase)
-        .set("kind", kind)
-        .set("data", std::move(data));
-    call("control", "send_peer_to", args);
-  }
-
-  /// Live members of the replica group, from the kernel.
-  [[nodiscard]] std::vector<std::int64_t> alive_peers() {
-    // Materialize the info map first: iterating a reference obtained through
-    // a call chain on a temporary would dangle.
-    const Value info = kernel_info();
-    std::vector<std::int64_t> peers;
-    for (const auto& entry : info.at("alive_peers").as_list()) {
-      peers.push_back(entry.as_int());
-    }
-    return peers;
-  }
-
-  void report_fault(const std::string& kind) {
-    call("control", "report_fault", Value::map().set("kind", kind));
-  }
-
-  void count_event(const std::string& kind) {
-    call("control", "count_event", Value::map().set("kind", kind));
-  }
-
-  void resume_after(const std::string& key, std::int64_t delay_us, Value result) {
-    Value args = Value::map();
-    args.set("key", key).set("delay_us", delay_us).set("result", std::move(result));
-    call("control", "resume_after", args);
+  /// The reply log, through the replyLog link.
+  [[nodiscard]] ReplyLogComponent& reply_log() const {
+    return linked<ReplyLogComponent>(reply_log_ref_);
   }
 
   /// Run the application once through the server reference; returns the
@@ -152,12 +157,6 @@ class FtmBrick : public comp::Component {
     return host() != nullptr && host()->sim().tracer().enabled();
   }
 
-  /// Trace id carried by a ctx view (0 when untraced or ctx is null).
-  [[nodiscard]] static std::uint64_t trace_of(const Value& ctx) {
-    if (!ctx.is_map() || !ctx.has("trace")) return 0;
-    return static_cast<std::uint64_t>(ctx.at("trace").as_int());
-  }
-
   /// Record an instant event on this brick's host. No-op when tracing() is
   /// false (or the brick runs hostless in a unit test).
   void trace_instant(std::string_view name, std::uint64_t trace,
@@ -167,6 +166,22 @@ class FtmBrick : public comp::Component {
     tracer.instant(host()->id().value(), tracer.intern(name), trace,
                    host()->sim().now(), arg);
   }
+
+ private:
+  [[nodiscard]] static Directive make(Verdict verdict,
+                                      std::optional<Value> result = {}) {
+    Directive directive;
+    directive.verdict = verdict;
+    directive.result = std::move(result);
+    return directive;
+  }
+  [[noreturn]] Directive no_phase(const char* phase) const {
+    throw FtmError(strf(type_name(), ": brick does not run the ", phase, " phase"));
+  }
+
+  // Positions of the control and replyLog references, found by on_wire.
+  std::size_t control_ref_{comp::Component::kNoReference};
+  std::size_t reply_log_ref_{comp::Component::kNoReference};
 };
 
 /// Component type registrations for every brick.

@@ -10,9 +10,11 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "rcs/common/ids.hpp"
 #include "rcs/component/component.hpp"
+#include "rcs/ftm/protocol.hpp"
 #include "rcs/sim/time.hpp"
 
 namespace rcs::ftm {
@@ -34,20 +36,23 @@ class FailureDetectorComponent : public comp::Component {
   // Service "fd", interface rcs.FailureDetector. Ops:
   //   on_heartbeat {from: u32} -> null        (wired from the host handler)
   //   peer_alive {}            -> bool
-  //   suspected {}             -> bool
   Value on_invoke(const std::string& service, const std::string& op,
                   const Value& args) override;
 
   void on_start() override;
   void on_stop() override;
+  /// Admits only a protocol kernel on the control reference.
+  void on_wire(std::size_t index, const comp::Component& target) override;
 
  private:
   void beat();
   void check();
   [[nodiscard]] sim::Duration interval() const;
   [[nodiscard]] sim::Duration timeout() const;
-  /// Peer host ids from the protocol kernel (the replica group).
-  [[nodiscard]] std::vector<std::int64_t> peer_ids();
+  /// The protocol kernel, through the control link.
+  [[nodiscard]] ProtocolKernel& kernel() const {
+    return linked<ProtocolKernel>(0);  // control, the only reference
+  }
 
   void cancel_timers();
 

@@ -32,15 +32,32 @@ class ReplyLogComponent : public comp::Component {
 
   [[nodiscard]] static comp::ComponentTypeInfo type_info();
 
+  // --- Typed interface (the kernel and the bricks, through their links) ---
+  /// The reply recorded for `key`, or null. The pointer dies at the next
+  /// mutation of the log.
+  [[nodiscard]] const Value* lookup(const std::string& key) const;
+  /// `state` names the driving op for the fsim "replylog.append" point
+  /// ("record" for a fresh reply, "import_delta" for checkpoint import).
+  void record(const std::string& key, const Value& reply,
+              const char* state = "record");
+  /// {entries: {key: reply}, order: [key], upto}
+  [[nodiscard]] Value export_all() const;
+  /// Replace the content with an export_all() snapshot.
+  void import_all(const Value& snapshot);
+  /// {entries, order, from, upto}: only entries the peer has not acked.
+  [[nodiscard]] Value export_since() const;
+  /// Advance the export watermark to `upto`.
+  void ack_export(std::uint64_t upto);
+  /// Import an export_since() delta; false (nothing imported) when its base
+  /// is ahead of what this log has seen.
+  [[nodiscard]] bool import_delta(const Value& delta);
+
  protected:
-  // Service "log", interface rcs.ReplyLog. Ops:
+  // Service "log", interface rcs.ReplyLog, for dynamic callers. Ops:
   //   lookup {key}            -> {found: bool, reply?: value}
   //   record {key, reply}     -> null
-  //   export {}               -> {entries: {key: reply}, order: [key], upto}
+  //   export {}               -> export_all()
   //   import {entries, order, upto?} -> null (replaces content)
-  //   export_since {}         -> {entries, order, from, upto} (unacked only)
-  //   ack_export {upto}       -> null (advance the export watermark)
-  //   import_delta {entries, order, from, upto} -> {ok: bool}
   //   size {}                 -> int
   //   clear {}                -> null
   Value on_invoke(const std::string& service, const std::string& op,
@@ -54,10 +71,6 @@ class ReplyLogComponent : public comp::Component {
 
   [[nodiscard]] std::size_t capacity() const;
   void evict_to_capacity();
-  /// `state` names the driving op for the fsim "replylog.append" point
-  /// ("record" for a fresh reply, "import_delta" for checkpoint import).
-  void record(const std::string& key, const Value& reply,
-              const char* state = "record");
 
   std::map<std::string, Entry> entries_;
   std::deque<std::string> order_;  // insertion order, for FIFO eviction

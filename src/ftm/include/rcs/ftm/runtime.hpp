@@ -65,7 +65,6 @@ class FtmRuntime {
   [[nodiscard]] ProtocolKernel& kernel();
   [[nodiscard]] const DeployParams& params() const { return params_; }
   [[nodiscard]] sim::Host& host() { return host_; }
-  [[nodiscard]] comp::HostLibrary& library() { return library_; }
   [[nodiscard]] const comp::ComponentRegistry& registry() const;
 
   /// Execute a (transition) script against the composite and update the

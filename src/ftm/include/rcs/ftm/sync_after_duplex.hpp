@@ -14,24 +14,30 @@
 namespace rcs::ftm {
 
 class SyncAfterDuplexBase : public FtmBrick {
+ public:
+  Directive after(const RequestCtx& ctx) override;
+  Directive on_peer(const RequestCtx* ctx, const Value& message) override;
+  /// Anchors the joiner into the current delta stream: the snapshot carries
+  /// the capture-side (stream, seq) so checkpoints captured concurrently
+  /// with the join re-apply idempotently on the joiner.
+  Value make_join_snapshot() override;
+  void apply_join_snapshot(const Value& snapshot) override;
+
  protected:
   explicit SyncAfterDuplexBase(bool with_assertion)
       : with_assertion_(with_assertion) {}
 
-  Value on_invoke(const std::string& service, const std::string& op,
-                  const Value& args) override;
-
-  /// Strategy-specific agreement action for the master side. Returns a
-  /// status directive ("done" after fire-and-forget, "wait" for an ack).
-  virtual Value master_after(const Value& ctx) = 0;
+  /// Strategy-specific agreement action for the master side: done after a
+  /// fire-and-forget send, or a wait for an ack.
+  virtual Directive master_after(const RequestCtx& ctx) = 0;
   /// Strategy-specific handling of a solicited peer message (the kind the
   /// master waited for) — checkpoint_ack / notify.
-  virtual Value on_solicited(const Value& ctx, const Value& message) = 0;
+  virtual Directive on_solicited(const RequestCtx& ctx, const Value& message) = 0;
   /// Strategy-specific handling of unsolicited messages (slave side):
   /// checkpoint application, early notifications...
-  virtual Value on_unsolicited(const Value& message) = 0;
+  virtual Directive on_unsolicited(const Value& message) = 0;
   /// Follower-side behaviour for a forwarded context reaching After.
-  virtual Value forwarded_after(const Value& ctx) = 0;
+  virtual Directive forwarded_after(const RequestCtx& ctx) = 0;
 
   [[nodiscard]] bool with_assertion() const { return with_assertion_; }
 
@@ -40,13 +46,10 @@ class SyncAfterDuplexBase : public FtmBrick {
   /// Read the application state if the state manager is wired.
   [[nodiscard]] Value capture_state();
   void restore_state(const Value& state);
-  [[nodiscard]] Value export_replies();
-  void import_replies(const Value& snapshot);
 
  private:
-  Value after_entry(const Value& ctx);
-  Value handle_exec_request(const Value& message);
-  Value handle_exec_result(const Value& ctx, const Value& message);
+  Directive handle_exec_request(const Value& message);
+  Directive handle_exec_result(const Value& message);
 
   bool with_assertion_;
 };

@@ -8,7 +8,9 @@
 #include "rcs/common/logging.hpp"
 #include "rcs/common/strf.hpp"
 #include "rcs/component/composite.hpp"
+#include "rcs/ftm/bricks.hpp"
 #include "rcs/ftm/config.hpp"
+#include "rcs/ftm/reply_log.hpp"
 #include "rcs/sim/host.hpp"
 #include "rcs/sim/simulation.hpp"
 
@@ -26,6 +28,14 @@ std::string request_key(std::int64_t client, std::uint64_t id) {
   return key;
 }
 }  // namespace
+
+const char* to_string(Fault fault) {
+  static constexpr const char* kNames[] = {
+      "divergence",        "assertion_failed",       "tr_mismatch",
+      "tr_no_majority",    "acceptance_failed",      "both_variants_rejected",
+      "both_replicas_faulty"};
+  return kNames[static_cast<std::size_t>(fault)];
+}
 
 comp::ComponentTypeInfo ProtocolKernel::type_info() {
   comp::ComponentTypeInfo info;
@@ -55,7 +65,7 @@ comp::ComponentTypeInfo ProtocolKernel::type_info() {
 
 ProtocolKernel::~ProtocolKernel() {
   if (host() != nullptr) {
-    for (const auto& [id, timer] : resume_timers_) host()->cancel(timer);
+    for (const auto& [id, resume] : resume_timers_) host()->cancel(resume.timer);
     for (const auto& [key, ctx] : pending_) host()->cancel(ctx.retry_timer);
   }
 }
@@ -79,7 +89,7 @@ void ProtocolKernel::schedule_peer_retry(Ctx& ctx) {
     }
   }
   ctx.retry_timer = host()->schedule_after(
-      interval, [this, key = ctx.key] { on_peer_retry(key); },
+      interval, [this, key = ctx.req.key] { on_peer_retry(key); },
       "ftm.peer_retry");
 }
 
@@ -92,44 +102,46 @@ void ProtocolKernel::on_peer_retry(const std::string& key) {
   const auto it = pending_.find(key);
   if (it == pending_.end()) return;
   Ctx& ctx = it->second;
-  if (!ctx.waiting || ctx.expect.empty()) return;
+  if (!ctx.waiting || ctx.req.expect.empty()) return;
   // Re-run the waiting phase: the brick re-sends its peer message (a lost
   // checkpoint/exec request) or decides to give up (ctx carries "attempt").
-  ++ctx.attempt;
-  log().debug("ftm", composite()->name(), ": retrying ", ctx.key, " phase ",
-              ctx.phase, " (attempt ", ctx.attempt, ")");
+  ++ctx.req.attempt;
+  log().debug("ftm", composite()->name(), ": retrying ", ctx.req.key, " phase ",
+              ctx.phase, " (attempt ", ctx.req.attempt, ")");
   ctx.waiting = false;
-  static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
-  const Value status =
-      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], ctx_view(ctx));
-  const std::string& verdict = status.at("status").as_string();
-  if (verdict == "done") {
-    if (status.has("result")) ctx.result = status.at("result");
-    advance_phase(ctx);
-    advance(ctx);
-  } else {
-    apply_brick_status(ctx, status);
-  }
+  apply(ctx, call_phase(ctx));
 }
 
 Value ProtocolKernel::on_invoke(const std::string& service,
                                 const std::string& op, const Value& args) {
-  if (service == "client") {
-    if (op == "request") {
-      handle_client_request(args);
-      return {};
-    }
-    throw FtmError(strf("protocol.client: unknown op '", op, "'"));
+  if (service == "client" && op == "request") {
+    handle_client_request(args);
+    return {};
   }
-  if (service == "peer") {
-    if (op == "message") {
-      handle_peer_message(args);
-      return {};
-    }
-    throw FtmError(strf("protocol.peer: unknown op '", op, "'"));
+  if (service == "peer" && op == "message") {
+    handle_peer_message(args);
+    return {};
   }
-  return dispatch_control(op, args);
+  throw FtmError(strf("protocol.", service, ": unknown op '", op, "'"));
 }
+
+void ProtocolKernel::on_wire(std::size_t index, const comp::Component& target) {
+  if (index <= kAfterRef) {
+    require_target<FtmBrick>(index, target, "an FTM brick");
+  } else if (index == kReplyLogRef) {
+    require_target<ReplyLogComponent>(index, target, "a reply log");
+  }
+}
+
+FtmBrick& ProtocolKernel::brick(int phase) const {
+  return linked<FtmBrick>(static_cast<std::size_t>(phase));
+}
+
+ReplyLogComponent& ProtocolKernel::reply_log() const {
+  return linked<ReplyLogComponent>(kReplyLogRef);
+}
+
+std::int64_t ProtocolKernel::master() const { return property("master").as_int(); }
 
 void ProtocolKernel::on_start() {
   bind_observability();
@@ -174,8 +186,8 @@ void ProtocolKernel::bind_observability() {
 void ProtocolKernel::advance_phase(Ctx& ctx) {
   if (tracer_ != nullptr && tracer_->enabled() && ctx.phase < 3) {
     const sim::Time now = host()->sim().now();
-    tracer_->span(host()->id().value(), phase_span_names_[ctx.phase], ctx.trace,
-                  ctx.phase_start, now);
+    tracer_->span(host()->id().value(), phase_span_names_[ctx.phase],
+                  ctx.req.trace, ctx.phase_start, now);
     ctx.phase_start = now;
   }
   ++ctx.phase;
@@ -191,23 +203,15 @@ void ProtocolKernel::rebuild_peer_group() {
   for (const auto peer : peers_) {
     peer_alive_map_.emplace(peer, true);
   }
+  refresh_alive_peers();
 }
 
-bool ProtocolKernel::any_peer_alive() const {
+void ProtocolKernel::refresh_alive_peers() {
+  alive_peers_.clear();
   for (const auto peer : peers_) {
     const auto it = peer_alive_map_.find(peer);
-    if (it != peer_alive_map_.end() && it->second) return true;
+    if (it != peer_alive_map_.end() && it->second) alive_peers_.push_back(peer);
   }
-  return false;
-}
-
-std::vector<std::int64_t> ProtocolKernel::alive_peers() const {
-  std::vector<std::int64_t> alive;
-  for (const auto peer : peers_) {
-    const auto it = peer_alive_map_.find(peer);
-    if (it != peer_alive_map_.end() && it->second) alive.push_back(peer);
-  }
-  return alive;
 }
 
 void ProtocolKernel::on_property_changed(const std::string& key) {
@@ -242,7 +246,7 @@ void ProtocolKernel::handle_client_request(const Value& payload) {
 void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
   const auto client = payload.at("client").as_int();
   const auto id = static_cast<std::uint64_t>(payload.at("id").as_int());
-  const std::string key = request_key(client, id);
+  std::string key = request_key(client, id);
 
   if (pending_.contains(key)) return;  // already in flight
 
@@ -256,11 +260,10 @@ void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
   }
 
   // At-most-once: answer retransmissions from the reply log.
-  const Value logged = call("replyLog", "lookup", Value::map().set("key", key));
-  if (logged.at("found").as_bool()) {
+  if (const Value* logged = reply_log().lookup(key)) {
     ++counters_.duplicates_served;
     if (!forwarded) {
-      Value reply = logged.at("reply");
+      Value reply = *logged;
       reply.set("id", static_cast<std::int64_t>(id));
       if (host() != nullptr) {
         host()->send(HostId{static_cast<std::uint32_t>(client)}, msg::kReply,
@@ -272,17 +275,17 @@ void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
   }
 
   Ctx ctx;
-  ctx.key = key;
-  ctx.client = client;
-  ctx.id = id;
-  ctx.request = payload.at("request");
-  ctx.forwarded = forwarded;
+  ctx.req.key = key;
+  ctx.req.client = client;
+  ctx.req.id = id;
+  ctx.req.request = payload.at("request");
+  ctx.req.forwarded = forwarded;
   if (tracer_ != nullptr && tracer_->enabled()) {
-    ctx.trace =
+    ctx.req.trace =
         static_cast<std::uint64_t>(payload.get_or("trace", Value(0)).as_int());
     ctx.phase_start = host()->sim().now();
   }
-  auto [it, inserted] = pending_.emplace(key, std::move(ctx));
+  auto [it, inserted] = pending_.emplace(std::move(key), std::move(ctx));
   ensure(inserted, "duplicate pending ctx");
   advance(it->second);
 }
@@ -291,125 +294,109 @@ void ProtocolKernel::start_request(const Value& payload, bool forwarded) {
 // Pipeline
 // ---------------------------------------------------------------------------
 
-const char* ProtocolKernel::phase_reference(int phase) const {
-  switch (phase) {
-    case 0: return "before";
-    case 1: return "exec";
-    case 2: return "after";
-    default: throw LogicError(strf("no brick for phase ", phase));
-  }
+const RequestCtx& ProtocolKernel::view(Ctx& ctx) const {
+  ctx.req.role = role_;
+  ctx.req.peer_alive = any_peer_alive();
+  return ctx.req;
 }
 
-Value ProtocolKernel::ctx_view(const Ctx& ctx) const {
-  Value view = Value::map();
-  view.as_map().reserve(11);  // every member below, trace included
-  view.set("key", ctx.key)
-      .set("client", ctx.client)
-      .set("id", static_cast<std::int64_t>(ctx.id))
-      .set("request", ctx.request)
-      .set("result", ctx.result)
-      .set("forwarded", ctx.forwarded)
-      .set("role", to_string(role_))
-      .set("peer_alive", any_peer_alive())
-      .set("expect", ctx.expect)
-      .set("attempt", ctx.attempt);
-  // The trace id rides along only when one exists, so the untraced hot path
-  // builds the exact same view it always did.
-  if (ctx.trace != 0) view.set("trace", static_cast<std::int64_t>(ctx.trace));
-  return view;
+Directive ProtocolKernel::call_phase(Ctx& ctx) {
+  FtmBrick& slot = brick(ctx.phase);
+  const RequestCtx& req = view(ctx);
+  switch (ctx.phase) {
+    case 0: return slot.before(req);
+    case 1: return slot.proceed(req);
+    default: return slot.after(req);
+  }
 }
 
 void ProtocolKernel::advance(Ctx& ctx) {
   while (ctx.phase < 3) {
-    static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
-    const Value status =
-        call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], ctx_view(ctx));
-    const std::string& verdict = status.at("status").as_string();
-    if (verdict == "done") {
-      if (status.has("result")) ctx.result = status.at("result");
-      advance_phase(ctx);
-      continue;
+    Directive directive = call_phase(ctx);
+    if (directive.verdict != Verdict::kDone) {
+      apply(ctx, std::move(directive));
+      return;
     }
-    apply_brick_status(ctx, status);
-    return;
+    if (directive.result) ctx.req.result = std::move(*directive.result);
+    advance_phase(ctx);
   }
   complete(ctx);
 }
 
-void ProtocolKernel::apply_brick_status(Ctx& ctx, const Value& status) {
-  const std::string& verdict = status.at("status").as_string();
-  if (verdict == "wait") {
-    if (status.has("result")) ctx.result = status.at("result");
-    ctx.waiting = true;
-    // With an "expect" kind the context waits for a peer message; without
-    // one it waits for an explicit control.resume (e.g. a compute timer).
-    ctx.expect = status.get_or("expect", Value("")).as_string();
-    ctx.expect_remaining =
-        static_cast<int>(status.get_or("expect_count", Value(1)).as_int());
-    ctx.acked_peers.clear();
-    if (ctx.expect.empty()) return;
-    if (ctx.expect_remaining <= 0) {  // nobody to wait for after all
-      ctx.waiting = false;
+void ProtocolKernel::apply(Ctx& ctx, Directive directive) {
+  if (directive.result) ctx.req.result = std::move(*directive.result);
+  switch (directive.verdict) {
+    case Verdict::kDone:
       advance_phase(ctx);
       advance(ctx);
       return;
-    }
-    // An early peer message may already be stashed; feed it immediately.
-    const auto stashed = stash_.find({ctx.key, ctx.expect});
-    if (stashed == stash_.end()) {
-      schedule_peer_retry(ctx);
+    case Verdict::kAgain:
+      advance(ctx);
       return;
-    }
-    if (stashed != stash_.end()) {
-      const Value message = stashed->second;
-      stash_.erase(stashed);
-      Value args = Value::map();
-      args.set("ctx", ctx_view(ctx)).set("message", message);
-      ctx.waiting = false;
-      const Value next =
-          call(phase_reference(ctx.phase), "on_peer", args);
-      const std::string& v = next.at("status").as_string();
-      if (v == "done") {
-        if (next.has("result")) ctx.result = next.at("result");
-        advance_phase(ctx);
-        advance(ctx);
-      } else {
-        apply_brick_status(ctx, next);
-      }
-    }
-    return;
+    case Verdict::kFail:
+      fail_request(ctx, directive.error);
+      return;
+    case Verdict::kWait:
+      break;
   }
-  if (verdict == "again") {
-    if (status.has("result")) ctx.result = status.at("result");
+  ctx.waiting = true;
+  // With an expected kind the context waits for a peer message; without one
+  // it waits for a resume_after timer (a computation's CPU time).
+  ctx.req.expect = directive.expect;
+  ctx.expect_remaining = directive.expect_count;
+  ctx.acked_peers.clear();
+  if (ctx.req.expect.empty()) return;
+  if (ctx.expect_remaining <= 0) {  // nobody to wait for after all
+    ctx.waiting = false;
+    advance_phase(ctx);
     advance(ctx);
     return;
   }
-  if (verdict == "fail") {
-    fail_request(ctx, status.get_or("error", Value("request failed")).as_string());
+  // An early peer message may already be stashed; feed it immediately.
+  const auto stashed =
+      std::find_if(stash_.begin(), stash_.end(), [&ctx](const Stashed& entry) {
+        return entry.key == ctx.req.key && entry.kind == ctx.req.expect;
+      });
+  if (stashed == stash_.end()) {
+    schedule_peer_retry(ctx);
     return;
   }
-  throw FtmError(strf("brick returned unknown status '", verdict, "'"));
+  const Value message = std::move(stashed->message);
+  stash_.erase(stashed);
+  ctx.waiting = false;
+  apply(ctx, brick(ctx.phase).on_peer(&view(ctx), message));
+}
+
+void ProtocolKernel::resume(const std::string& key, Value result) {
+  const auto it = pending_.find(key);
+  if (it == pending_.end()) return;
+  Ctx& ctx = it->second;
+  cancel_peer_retry(ctx);
+  ctx.waiting = false;
+  ctx.req.result = std::move(result);
+  advance_phase(ctx);
+  advance(ctx);
 }
 
 void ProtocolKernel::complete(Ctx& ctx) {
   Value reply = Value::map();
-  reply.set("id", static_cast<std::int64_t>(ctx.id)).set("result", ctx.result);
-  call("replyLog", "record", Value::map().set("key", ctx.key).set("reply", reply));
-  if (!ctx.forwarded && host() != nullptr) {
-    host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
+  reply.set("id", static_cast<std::int64_t>(ctx.req.id)).set("result", ctx.req.result);
+  reply_log().record(ctx.req.key, reply);
+  if (!ctx.req.forwarded && host() != nullptr) {
+    host()->send(HostId{static_cast<std::uint32_t>(ctx.req.client)}, msg::kReply,
                  std::move(reply));
     ++counters_.replies;
   }
-  finish_and_erase(ctx.key);
+  finish_and_erase(ctx.req.key);
 }
 
 void ProtocolKernel::fail_request(Ctx& ctx, const std::string& error) {
-  log().warn("ftm", composite()->name(), ": request ", ctx.key, " failed: ",
+  log().warn("ftm", composite()->name(), ": request ", ctx.req.key, " failed: ",
              error);
-  if (!ctx.forwarded && host() != nullptr) {
+  if (!ctx.req.forwarded && host() != nullptr) {
     Value reply = Value::map();
-    reply.set("id", static_cast<std::int64_t>(ctx.id)).set("error", error);
-    host()->send(HostId{static_cast<std::uint32_t>(ctx.client)}, msg::kReply,
+    reply.set("id", static_cast<std::int64_t>(ctx.req.id)).set("error", error);
+    host()->send(HostId{static_cast<std::uint32_t>(ctx.req.client)}, msg::kReply,
                  std::move(reply));
     ++counters_.error_replies;
     // Under an active strategy the follower runs its own pipeline for this
@@ -417,10 +404,10 @@ void ProtocolKernel::fail_request(Ctx& ctx, const std::string& error) {
     // the request died here, or its context leaks (and quiescence never
     // drains).
     if (any_peer_alive()) {
-      send_peer("ctrl", "abort", Value::map().set("key", ctx.key));
+      send_peer("ctrl", "abort", Value::map().set("key", ctx.req.key));
     }
   }
-  finish_and_erase(ctx.key);
+  finish_and_erase(ctx.req.key);
 }
 
 void ProtocolKernel::finish_and_erase(std::string key) {
@@ -440,6 +427,23 @@ void ProtocolKernel::finish_and_erase(std::string key) {
   if (blocked_) check_drained();
 }
 
+void ProtocolKernel::stash(const std::string& key, const std::string& kind,
+                           const Value& message) {
+  // A request that finished here is answered from the reply log and never
+  // waits again, so a late or duplicated message for it would stay forever.
+  if (reply_log().lookup(key) != nullptr) return;
+  const auto existing =
+      std::find_if(stash_.begin(), stash_.end(), [&](const Stashed& entry) {
+        return entry.key == key && entry.kind == kind;
+      });
+  if (existing != stash_.end()) {
+    existing->message = message;
+    return;
+  }
+  stash_.push_back(Stashed{key, kind, message});
+  while (stash_.size() > kStashCapacity) stash_.pop_front();
+}
+
 // ---------------------------------------------------------------------------
 // Peer path
 // ---------------------------------------------------------------------------
@@ -457,7 +461,7 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
   const std::string key = payload.get_or("key", Value("")).as_string();
   const auto from = payload.get_or("_from", Value(-1)).as_int();
   const auto it = pending_.find(key);
-  if (it != pending_.end() && it->second.waiting && it->second.expect == kind) {
+  if (it != pending_.end() && it->second.waiting && it->second.req.expect == kind) {
     Ctx& ctx = it->second;
     // Multi-ack waits: count each peer once; advance only when the whole
     // group answered (duplicates from retransmissions are absorbed here).
@@ -471,17 +475,7 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
     }
     cancel_peer_retry(ctx);
     ctx.waiting = false;
-    Value args = Value::map();
-    args.set("ctx", ctx_view(ctx)).set("message", payload);
-    const Value status = call(phase_reference(ctx.phase), "on_peer", args);
-    const std::string& verdict = status.at("status").as_string();
-    if (verdict == "done") {
-      if (status.has("result")) ctx.result = status.at("result");
-      advance_phase(ctx);
-      advance(ctx);
-    } else {
-      apply_brick_status(ctx, status);
-    }
+    apply(ctx, brick(ctx.phase).on_peer(&view(ctx), payload));
     return;
   }
 
@@ -489,25 +483,14 @@ void ProtocolKernel::handle_peer_message(const Value& payload) {
   // directly (apply a checkpoint, serve an exec request, start a forwarded
   // pipeline) or ask the kernel to stash the message for a context that has
   // not reached the waiting phase yet.
-  const char* ref = phase == "before" ? "before"
-                    : phase == "exec" ? "exec"
-                                      : "after";
-  Value args = Value::map();
-  args.set("ctx", Value{}).set("message", payload);
-  const Value status = call(ref, "on_peer", args);
-  if (status.is_map() && status.get_or("stash", Value(false)).as_bool()) {
-    stash_[{key, kind}] = payload;
-  }
-  if (status.is_map() && status.get_or("defer", Value(false)).as_bool()) {
-    deferred_[key].push_back(payload);
-  }
+  const int slot = phase == "before" ? 0 : phase == "exec" ? 1 : 2;
+  const Directive directive = brick(slot).on_peer(nullptr, payload);
+  if (directive.stash) stash(key, kind, payload);
+  if (directive.defer) deferred_[key].push_back(payload);
 }
 
-void ProtocolKernel::send_peer(const std::string& phase, const std::string& kind,
-                               Value data) {
-  if (host() == nullptr) return;
-  const auto peers = alive_peers();
-  if (peers.empty()) return;
+void ProtocolKernel::send_peer(const char* phase, const char* kind, Value data) {
+  if (host() == nullptr || alive_peers_.empty()) return;
   Value payload = Value::map();
   payload.set("phase", phase).set("kind", kind);
   if (data.is_map() && data.has("key")) payload.set("key", data.at("key"));
@@ -515,15 +498,15 @@ void ProtocolKernel::send_peer(const std::string& phase, const std::string& kind
   // One shared payload for the whole fan-out: with N backups the Value tree
   // is built (and its wire size computed) once, not N times.
   const Payload shared{std::move(payload)};
-  for (const auto peer : peers) {
+  for (const auto peer : alive_peers_) {
     if (peer < 0) continue;
     host()->send(HostId{static_cast<std::uint32_t>(peer)}, msg::kReplica,
                  shared);
   }
 }
 
-void ProtocolKernel::send_peer_to(std::int64_t peer, const std::string& phase,
-                                  const std::string& kind, Value data) {
+void ProtocolKernel::send_peer_to(std::int64_t peer, const char* phase,
+                                  const char* kind, Value data) {
   if (peer < 0 || host() == nullptr) return;
   Value payload = Value::map();
   payload.set("phase", phase).set("kind", kind);
@@ -542,42 +525,26 @@ void ProtocolKernel::set_role(Role role) {
   set_property("role", Value(to_string(role)));  // triggers listener hook
 }
 
-void ProtocolKernel::rerun_waiting_phase(Ctx& ctx) {
-  cancel_peer_retry(ctx);
-  ctx.waiting = false;
-  ++ctx.attempt;
-  static constexpr const char* kPhaseOps[] = {"before", "process", "after"};
-  const Value status =
-      call(phase_reference(ctx.phase), kPhaseOps[ctx.phase], ctx_view(ctx));
-  const std::string& verdict = status.at("status").as_string();
-  if (verdict == "done") {
-    if (status.has("result")) ctx.result = status.at("result");
-    advance_phase(ctx);
-    advance(ctx);
-  } else {
-    apply_brick_status(ctx, status);
-  }
-}
-
 void ProtocolKernel::on_peer_suspected(std::int64_t peer) {
   auto it = peer_alive_map_.find(peer);
   if (it == peer_alive_map_.end() || !it->second) return;
   it->second = false;
+  refresh_alive_peers();
   log().info("ftm", composite()->name(), ": peer h", peer, " suspected, role ",
              to_string(role_));
 
-  const auto master = property("master").as_int();
+  const auto master_id = master();
   const auto self =
       host() != nullptr ? static_cast<std::int64_t>(host()->id().value()) : -1;
 
   if (role_ == Role::kPrimary && !any_peer_alive()) {
     // Last one standing.
     set_role(Role::kAlone);
-  } else if (role_ == Role::kBackup && peer == master) {
+  } else if (role_ == Role::kBackup && peer == master_id) {
     // The master died: the lowest-id live replica takes over
     // (deterministic rank-based election; all backups compute the same).
     std::int64_t new_master = self;
-    for (const auto candidate : alive_peers()) {
+    for (const auto candidate : alive_peers_) {
       new_master = std::min(new_master, candidate);
     }
     set_property("master", Value(new_master));
@@ -596,11 +563,16 @@ void ProtocolKernel::on_peer_suspected(std::int64_t peer) {
   // survivors or finish master-alone).
   std::vector<std::string> waiting_keys;
   for (const auto& [key, ctx] : pending_) {
-    if (ctx.waiting && !ctx.expect.empty()) waiting_keys.push_back(key);
+    if (ctx.waiting && !ctx.req.expect.empty()) waiting_keys.push_back(key);
   }
   for (const auto& key : waiting_keys) {
     const auto pending = pending_.find(key);
-    if (pending != pending_.end()) rerun_waiting_phase(pending->second);
+    if (pending == pending_.end()) continue;
+    Ctx& ctx = pending->second;
+    cancel_peer_retry(ctx);
+    ctx.waiting = false;
+    ++ctx.req.attempt;
+    apply(ctx, call_phase(ctx));
   }
 }
 
@@ -608,6 +580,7 @@ void ProtocolKernel::on_peer_recovered(std::int64_t peer) {
   const auto it = peer_alive_map_.find(peer);
   if (it == peer_alive_map_.end() || it->second) return;
   it->second = true;
+  refresh_alive_peers();
   log().info("ftm", composite()->name(), ": peer h", peer, " recovered");
 }
 
@@ -620,7 +593,7 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
     // late forward is not started.
     const auto& key = data.at("key").as_string();
     const auto it = pending_.find(key);
-    if (it != pending_.end() && it->second.forwarded) {
+    if (it != pending_.end() && it->second.req.forwarded) {
       finish_and_erase(it->first);
     } else if (it == pending_.end()) {
       aborted_keys_.push_back(key);
@@ -632,19 +605,24 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
     // A restarted replica asks to rejoin as backup; only the master answers,
     // shipping its state and reply log.
     if (role_ != Role::kPrimary && role_ != Role::kAlone) return;
-    if (from >= 0) peer_alive_map_[from] = true;
-    Value response = call("after", "make_join_snapshot", Value::map());
-    send_peer_to(from, "ctrl", "join_ack", std::move(response));
+    if (from >= 0) {
+      peer_alive_map_[from] = true;
+      refresh_alive_peers();
+    }
+    send_peer_to(from, "ctrl", "join_ack", brick(kAfterRef).make_join_snapshot());
     set_role(Role::kPrimary);
     return;
   }
   if (kind == "join_ack") {
-    if (from >= 0) peer_alive_map_[from] = true;
+    if (from >= 0) {
+      peer_alive_map_[from] = true;
+      refresh_alive_peers();
+    }
     if (tracer_ != nullptr && tracer_->enabled() && host() != nullptr) {
       tracer_->instant(host()->id().value(), rejoin_span_name_, 0,
                        host()->sim().now(), from);
     }
-    call("after", "apply_join_snapshot", data);
+    brick(kAfterRef).apply_join_snapshot(data);
     set_property("master", Value(from));
     set_role(Role::kBackup);
     return;
@@ -653,179 +631,79 @@ void ProtocolKernel::handle_ctrl(const std::string& kind, const Value& data,
 }
 
 // ---------------------------------------------------------------------------
-// Control service (bricks, failure detector, runtime)
+// Typed control interface (bricks, failure detector, runtime, agent)
 // ---------------------------------------------------------------------------
 
-Value ProtocolKernel::dispatch_control(const std::string& op, const Value& args) {
-  if (op == "peers") {
-    ValueList peers;
-    peers.reserve(peers_.size());
-    for (const auto peer : peers_) peers.emplace_back(peer);
-    return peers;
+void ProtocolKernel::resume_after(const std::string& key, sim::Duration delay,
+                                  Value result) {
+  if (host() == nullptr) {
+    resume(key, std::move(result));
+    return;
   }
-  if (op == "info") {
-    Value peers = Value::list();
-    for (const auto peer : peers_) peers.push_back(peer);
-    Value alive = Value::list();
-    for (const auto peer : alive_peers()) alive.push_back(peer);
-    Value info = Value::map();
-    info.set("role", to_string(role_))
-        .set("peers", std::move(peers))
-        .set("alive_peers", std::move(alive))
-        .set("master", property("master"))
-        .set("ftm", property("ftm"))
-        .set("peer_alive", any_peer_alive())
-        .set("blocked", blocked_);
-    return info;
-  }
-  if (op == "resume" || op == "fail") {
-    const auto& key = args.at("key").as_string();
-    const auto it = pending_.find(key);
-    if (it == pending_.end()) return {};
-    Ctx& ctx = it->second;
-    if (op == "fail") {
-      cancel_peer_retry(ctx);
-      fail_request(ctx, args.get_or("error", Value("failed")).as_string());
-      return {};
+  if (host()->sim().fsim().enabled()) {
+    // fsim "timer.arm": same lost-tick model as the peer-retry timer —
+    // the resume fires one period late, masked as latency.
+    const fsim::Site site{"resume", 0,
+                          static_cast<std::int64_t>(host()->sim().now())};
+    if (host()->sim().fsim().should_fail(fsim::Point::kTimerArm, site)) {
+      delay *= 2;
     }
-    cancel_peer_retry(ctx);
-    ctx.waiting = false;
-    if (args.has("result")) ctx.result = args.at("result");
-    advance_phase(ctx);
-    advance(ctx);
-    return {};
   }
-  if (op == "resume_after") {
-    auto delay = args.at("delay_us").as_int();
-    if (host() != nullptr && host()->sim().fsim().enabled()) {
-      // fsim "timer.arm": same lost-tick model as the peer-retry timer —
-      // the resume fires one period late, masked as latency.
-      const fsim::Site site{"resume", 0,
-                            static_cast<std::int64_t>(host()->sim().now())};
-      if (host()->sim().fsim().should_fail(fsim::Point::kTimerArm, site)) {
-        delay *= 2;
-      }
-    }
-    Value resume_args = Value::map();
-    resume_args.set("key", args.at("key"));
-    if (args.has("result")) resume_args.set("result", args.at("result"));
-    if (host() == nullptr) {
-      return dispatch_control("resume", resume_args);
-    }
-    const auto handle = next_resume_timer_++;
-    resume_timers_[handle] = host()->schedule_after(
-        delay,
-        [this, handle, resume_args] {
-          resume_timers_.erase(handle);
-          dispatch_control("resume", resume_args);
-        },
-        "ftm.resume");
-    return {};
+  const auto handle = next_resume_timer_++;
+  const TimerId timer = host()->schedule_after(
+      delay,
+      [this, handle] {
+        auto node = resume_timers_.extract(handle);
+        resume(node.mapped().key, std::move(node.mapped().result));
+      },
+      "ftm.resume");
+  resume_timers_.emplace(handle, Resume{timer, key, std::move(result)});
+}
+
+void ProtocolKernel::start_forwarded(const Value& payload) {
+  ++counters_.forwarded;
+  if (blocked_) {
+    buffered_forwarded_.push_back(payload);
+    return;
   }
-  if (op == "send_peer") {
-    send_peer(args.at("phase").as_string(), args.at("kind").as_string(),
-              args.get_or("data", Value::map()));
-    return {};
-  }
-  if (op == "send_peer_to") {
-    send_peer_to(args.at("host").as_int(), args.at("phase").as_string(),
-                 args.at("kind").as_string(), args.get_or("data", Value::map()));
-    return {};
-  }
-  if (op == "start_forwarded") {
-    ++counters_.forwarded;
-    if (blocked_) {
-      buffered_forwarded_.push_back(args);
-      return {};
-    }
-    start_request(args, /*forwarded=*/true);
-    return {};
-  }
-  if (op == "peek") {
-    // Let bricks ask whether a request is already executing here and with
-    // what result — an A&LFR follower answers a re-execution request from
-    // its own forwarded computation instead of executing twice.
-    const auto it = pending_.find(args.at("key").as_string());
-    Value out = Value::map();
-    if (it == pending_.end()) {
-      out.set("found", false);
-    } else {
-      out.set("found", true)
-          .set("phase", it->second.phase)
-          .set("result", it->second.result);
-    }
-    return out;
-  }
-  if (op == "stash") {
-    stash_[{args.at("key").as_string(), args.at("kind").as_string()}] =
-        args.at("message");
-    return {};
-  }
-  if (op == "report_fault") {
-    const auto& kind = args.at("kind").as_string();
-    if (kind == "divergence") ++counters_.divergences;
-    if (kind == "assertion_failed") ++counters_.assertion_failures;
-    if (kind == "tr_mismatch") ++counters_.tr_mismatches;
-    log().info("ftm", composite()->name(), ": fault reported: ", kind);
-    if (fault_listener_) fault_listener_(kind);
-    return {};
-  }
-  if (op == "count_event") {
-    const auto& kind = args.at("kind").as_string();
-    if (kind == "checkpoint_sent") ++counters_.checkpoints_sent;
-    if (kind == "checkpoint_applied") ++counters_.checkpoints_applied;
-    if (kind == "delta_sent") ++counters_.deltas_sent;
-    if (kind == "full_checkpoint_sent") ++counters_.full_checkpoints_sent;
-    if (kind == "resync_requested") ++counters_.resyncs;
-    if (kind == "notification") ++counters_.notifications;
-    return {};
-  }
-  if (op == "peer_suspected") {
-    on_peer_suspected(args.at("host").as_int());
-    return {};
-  }
-  if (op == "peer_recovered") {
-    on_peer_recovered(args.at("host").as_int());
-    return {};
-  }
-  if (op == "join") {
-    send_peer("ctrl", "join", Value::map());
-    return {};
-  }
-  if (op == "quiesce") {
-    blocked_ = true;
-    const bool drained = pending_.empty();
-    if (drained && quiesce_listener_) quiesce_listener_();
-    return Value::map().set("drained", drained);
-  }
-  if (op == "unblock") {
-    blocked_ = false;
-    drain_buffers();
-    return {};
-  }
-  if (op == "pending") {
-    return Value(static_cast<std::int64_t>(pending_.size()));
-  }
-  if (op == "stats") {
-    Value stats = Value::map();
-    stats.set("requests", counters_.requests.value())
-        .set("replies", counters_.replies.value())
-        .set("error_replies", counters_.error_replies.value())
-        .set("duplicates_served", counters_.duplicates_served.value())
-        .set("forwarded", counters_.forwarded.value())
-        .set("checkpoints_sent", counters_.checkpoints_sent.value())
-        .set("checkpoints_applied", counters_.checkpoints_applied.value())
-        .set("deltas_sent", counters_.deltas_sent.value())
-        .set("full_checkpoints_sent", counters_.full_checkpoints_sent.value())
-        .set("resyncs", counters_.resyncs.value())
-        .set("notifications", counters_.notifications.value())
-        .set("divergences", counters_.divergences.value())
-        .set("assertion_failures", counters_.assertion_failures.value())
-        .set("tr_mismatches", counters_.tr_mismatches.value())
-        .set("promotions", counters_.promotions.value());
-    return stats;
-  }
-  throw FtmError(strf("protocol.control: unknown op '", op, "'"));
+  start_request(payload, /*forwarded=*/true);
+}
+
+std::optional<ProtocolKernel::InFlight> ProtocolKernel::peek(
+    const std::string& key) const {
+  const auto it = pending_.find(key);
+  if (it == pending_.end()) return std::nullopt;
+  return InFlight{it->second.phase, &it->second.req.result};
+}
+
+void ProtocolKernel::report_fault(Fault kind) {
+  if (kind == Fault::kDivergence) ++counters_.divergences;
+  if (kind == Fault::kAssertionFailed) ++counters_.assertion_failures;
+  if (kind == Fault::kTrMismatch) ++counters_.tr_mismatches;
+  log().info("ftm", composite()->name(), ": fault reported: ", to_string(kind));
+  if (fault_listener_) fault_listener_(to_string(kind));
+}
+
+void ProtocolKernel::count_event(Event kind) {
+  obs::Counter* const counters[] = {
+      &counters_.checkpoints_sent, &counters_.checkpoints_applied,
+      &counters_.deltas_sent,      &counters_.full_checkpoints_sent,
+      &counters_.resyncs,          &counters_.notifications};
+  ++*counters[static_cast<std::size_t>(kind)];
+}
+
+void ProtocolKernel::join() { send_peer("ctrl", "join", Value::map()); }
+
+bool ProtocolKernel::quiesce() {
+  blocked_ = true;
+  const bool drained = pending_.empty();
+  if (drained && quiesce_listener_) quiesce_listener_();
+  return drained;
+}
+
+void ProtocolKernel::unblock() {
+  blocked_ = false;
+  drain_buffers();
 }
 
 // ---------------------------------------------------------------------------

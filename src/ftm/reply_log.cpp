@@ -59,93 +59,102 @@ void ReplyLogComponent::record(const std::string& key, const Value& reply,
   evict_to_capacity();
 }
 
+const Value* ReplyLogComponent::lookup(const std::string& key) const {
+  const auto it = entries_.find(key);
+  return it != entries_.end() ? &it->second.reply : nullptr;
+}
+
+Value ReplyLogComponent::export_all() const {
+  Value entries = Value::map();
+  for (const auto& [key, entry] : entries_) entries.set(key, entry.reply);
+  Value order = Value::list();
+  for (const auto& key : order_) order.push_back(key);
+  Value out = Value::map();
+  out.set("entries", entries)
+      .set("order", order)
+      .set("upto", static_cast<std::int64_t>(record_seq_));
+  return out;
+}
+
+void ReplyLogComponent::import_all(const Value& snapshot) {
+  entries_.clear();
+  order_.clear();
+  const auto& entries = snapshot.at("entries").as_map();
+  for (const auto& key_value : snapshot.at("order").as_list()) {
+    const auto& key = key_value.as_string();
+    const auto it = entries.find(key);
+    if (it == entries.end()) {
+      throw FtmError(strf("replyLog import: order key '", key,
+                          "' missing from entries"));
+    }
+    entries_[key] = Entry{it->second, ++record_seq_};
+    order_.push_back(key);
+  }
+  evict_to_capacity();
+  // A full import realigns the incremental watermark with the exporter.
+  import_mark_ =
+      static_cast<std::uint64_t>(snapshot.get_or("upto", Value(0)).as_int());
+}
+
+Value ReplyLogComponent::export_since() const {
+  // Only entries recorded after the peer's last acknowledgement travel;
+  // "from" lets the importer detect that it missed an earlier delta.
+  Value entries = Value::map();
+  Value order = Value::list();
+  for (const auto& key : order_) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end() && it->second.seq > export_acked_) {
+      entries.set(key, it->second.reply);
+      order.push_back(key);
+    }
+  }
+  Value out = Value::map();
+  out.set("entries", std::move(entries))
+      .set("order", std::move(order))
+      .set("from", static_cast<std::int64_t>(export_acked_))
+      .set("upto", static_cast<std::int64_t>(record_seq_));
+  return out;
+}
+
+void ReplyLogComponent::ack_export(std::uint64_t upto) {
+  if (upto > export_acked_) export_acked_ = upto;
+}
+
+bool ReplyLogComponent::import_delta(const Value& delta) {
+  const auto from = static_cast<std::uint64_t>(delta.at("from").as_int());
+  const auto upto = static_cast<std::uint64_t>(delta.at("upto").as_int());
+  if (from > import_mark_) {
+    // The exporter believes we acked entries we never saw: a delta between
+    // its "from" and our mark is missing. Refuse; caller resyncs in full.
+    return false;
+  }
+  for (const auto& key_value : delta.at("order").as_list()) {
+    const auto& key = key_value.as_string();
+    record(key, delta.at("entries").at(key), "import_delta");
+  }
+  if (upto > import_mark_) import_mark_ = upto;
+  return true;
+}
+
 Value ReplyLogComponent::on_invoke(const std::string& /*service*/,
                                    const std::string& op, const Value& args) {
   if (op == "lookup") {
-    const auto& key = args.at("key").as_string();
+    const Value* reply = lookup(args.at("key").as_string());
     Value out = Value::map();
-    const auto it = entries_.find(key);
-    out.set("found", it != entries_.end());
-    if (it != entries_.end()) out.set("reply", it->second.reply);
+    out.set("found", reply != nullptr);
+    if (reply != nullptr) out.set("reply", *reply);
     return out;
   }
   if (op == "record") {
     record(args.at("key").as_string(), args.at("reply"));
     return {};
   }
-  if (op == "export") {
-    Value entries = Value::map();
-    for (const auto& [key, entry] : entries_) entries.set(key, entry.reply);
-    Value order = Value::list();
-    for (const auto& key : order_) order.push_back(key);
-    Value out = Value::map();
-    out.set("entries", entries)
-        .set("order", order)
-        .set("upto", static_cast<std::int64_t>(record_seq_));
-    return out;
-  }
+  if (op == "export") return export_all();
   if (op == "import") {
-    entries_.clear();
-    order_.clear();
-    const auto& entries = args.at("entries").as_map();
-    for (const auto& key_value : args.at("order").as_list()) {
-      const auto& key = key_value.as_string();
-      const auto it = entries.find(key);
-      if (it == entries.end()) {
-        throw FtmError(strf("replyLog import: order key '", key,
-                            "' missing from entries"));
-      }
-      entries_[key] = Entry{it->second, ++record_seq_};
-      order_.push_back(key);
-    }
-    evict_to_capacity();
-    // A full import realigns the incremental watermark with the exporter.
-    import_mark_ =
-        static_cast<std::uint64_t>(args.get_or("upto", Value(0)).as_int());
+    import_all(args);
     return {};
   }
-  if (op == "export_since") {
-    // Only entries recorded after the peer's last acknowledgement travel;
-    // "from" lets the importer detect that it missed an earlier delta.
-    Value entries = Value::map();
-    Value order = Value::list();
-    for (const auto& key : order_) {
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.seq > export_acked_) {
-        entries.set(key, it->second.reply);
-        order.push_back(key);
-      }
-    }
-    Value out = Value::map();
-    out.set("entries", std::move(entries))
-        .set("order", std::move(order))
-        .set("from", static_cast<std::int64_t>(export_acked_))
-        .set("upto", static_cast<std::int64_t>(record_seq_));
-    return out;
-  }
-  if (op == "ack_export") {
-    const auto upto = static_cast<std::uint64_t>(args.at("upto").as_int());
-    if (upto > export_acked_) export_acked_ = upto;
-    return {};
-  }
-  if (op == "import_delta") {
-    const auto from = static_cast<std::uint64_t>(args.at("from").as_int());
-    const auto upto = static_cast<std::uint64_t>(args.at("upto").as_int());
-    if (from > import_mark_) {
-      // The exporter believes we acked entries we never saw: a delta between
-      // its "from" and our mark is missing. Refuse; caller resyncs in full.
-      return Value::map().set("ok", false);
-    }
-    for (const auto& key_value : args.at("order").as_list()) {
-      const auto& key = key_value.as_string();
-      record(key, args.at("entries").at(key), "import_delta");
-    }
-    if (upto > import_mark_) import_mark_ = upto;
-    return Value::map().set("ok", true);
-  }
-  if (op == "size") {
-    return Value(static_cast<std::int64_t>(entries_.size()));
-  }
+  if (op == "size") return Value(static_cast<std::int64_t>(entries_.size()));
   if (op == "clear") {
     entries_.clear();
     order_.clear();

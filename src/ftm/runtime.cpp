@@ -161,21 +161,19 @@ script::ExecutionStats FtmRuntime::run_transition(const std::string& source,
 }
 
 void FtmRuntime::quiesce(std::function<void()> on_drained) {
-  kernel().set_quiesce_listener(std::move(on_drained));
-  const Value result = composite().invoke("protocol", "control", "quiesce", {});
-  if (result.at("drained").as_bool()) {
-    // Listener already fired inside quiesce; nothing else to do.
-  }
+  ProtocolKernel& protocol = kernel();
+  protocol.set_quiesce_listener(std::move(on_drained));
+  // When nothing is in flight the listener fires inside quiesce().
+  protocol.quiesce();
 }
 
 void FtmRuntime::resume() {
-  kernel().set_quiesce_listener({});
-  composite().invoke("protocol", "control", "unblock", {});
+  ProtocolKernel& protocol = kernel();
+  protocol.set_quiesce_listener({});
+  protocol.unblock();
 }
 
-void FtmRuntime::request_rejoin() {
-  composite().invoke("protocol", "control", "join", {});
-}
+void FtmRuntime::request_rejoin() { kernel().join(); }
 
 void FtmRuntime::persist(const DeployParams& params) {
   // The *role* persisted is the deployment role; a replica that crashed and

@@ -5,72 +5,64 @@
 
 namespace rcs::ftm {
 
-Value SyncAfterDuplexBase::on_invoke(const std::string& /*service*/,
-                                     const std::string& op, const Value& args) {
-  if (op == "after") return after_entry(args);
-  if (op == "on_peer") {
-    const Value& ctx = args.at("ctx");
-    const Value& message = args.at("message");
-    const std::string& kind = message.at("kind").as_string();
-    if (!ctx.is_null()) {
-      if (kind == "exec_result") return handle_exec_result(ctx, message);
-      return on_solicited(ctx, message);
-    }
-    if (kind == "exec_req") return handle_exec_request(message);
-    return on_unsolicited(message);
+Directive SyncAfterDuplexBase::on_peer(const RequestCtx* ctx,
+                                       const Value& message) {
+  const std::string& kind = message.at("kind").as_string();
+  if (ctx != nullptr) {
+    if (kind == "exec_result") return handle_exec_result(message);
+    return on_solicited(*ctx, message);
   }
-  if (op == "make_join_snapshot") {
-    // Anchor the joiner into the current delta stream: the snapshot carries
-    // the capture-side (stream, seq) so checkpoints captured concurrently
-    // with the join re-apply idempotently on the joiner.
-    Value snapshot = Value::map();
-    if (wired("state")) {
-      Value full = call("state", "export_full");
-      snapshot.set("state", full.at("state"))
-          .set("ckpt_stream", full.at("stream"))
-          .set("ckpt_seq", full.at("seq"));
-    } else {
-      snapshot.set("state", Value{});
-    }
-    snapshot.set("replies", export_replies());
-    return snapshot;
-  }
-  if (op == "apply_join_snapshot") {
-    if (args.has("state") && !args.at("state").is_null()) {
-      if (args.has("ckpt_seq") && wired("state")) {
-        call("state", "import_full",
-             Value::map()
-                 .set("state", args.at("state"))
-                 .set("stream", args.at("ckpt_stream"))
-                 .set("seq", args.at("ckpt_seq")));
-      } else {
-        restore_state(args.at("state"));
-      }
-    }
-    if (args.has("replies")) import_replies(args.at("replies"));
-    return {};
-  }
-  throw FtmError(strf("syncAfter: unknown op '", op, "'"));
+  if (kind == "exec_req") return handle_exec_request(message);
+  return on_unsolicited(message);
 }
 
-Value SyncAfterDuplexBase::after_entry(const Value& ctx) {
-  if (ctx.at("forwarded").as_bool()) return forwarded_after(ctx);
+Value SyncAfterDuplexBase::make_join_snapshot() {
+  Value snapshot = Value::map();
+  if (wired("state")) {
+    Value full = call("state", "export_full");
+    snapshot.set("state", full.at("state"))
+        .set("ckpt_stream", full.at("stream"))
+        .set("ckpt_seq", full.at("seq"));
+  } else {
+    snapshot.set("state", Value{});
+  }
+  snapshot.set("replies", reply_log().export_all());
+  return snapshot;
+}
+
+void SyncAfterDuplexBase::apply_join_snapshot(const Value& snapshot) {
+  if (snapshot.has("state") && !snapshot.at("state").is_null()) {
+    if (snapshot.has("ckpt_seq") && wired("state")) {
+      call("state", "import_full",
+           Value::map()
+               .set("state", snapshot.at("state"))
+               .set("stream", snapshot.at("ckpt_stream"))
+               .set("seq", snapshot.at("ckpt_seq")));
+    } else {
+      restore_state(snapshot.at("state"));
+    }
+  }
+  if (snapshot.has("replies")) reply_log().import_all(snapshot.at("replies"));
+}
+
+Directive SyncAfterDuplexBase::after(const RequestCtx& ctx) {
+  if (ctx.forwarded) return forwarded_after(ctx);
 
   if (with_assertion_) {
-    if (!check_assertion(ctx.at("request"), ctx.at("result"))) {
+    if (!check_assertion(ctx.request, ctx.result)) {
       // Assertion failed on this node: re-execute on the other node
       // (distributed-recovery-blocks style, §3.2.1).
-      report_fault("assertion_failed");
-      const auto peers = alive_peers();
+      ProtocolKernel& control = kernel();
+      control.report_fault(Fault::kAssertionFailed);
+      const auto& peers = control.alive_peers();
       if (!peers.empty()) {
         // Re-execute on ONE other node (rotate by attempt so a second peer
         // is tried if the first keeps failing us).
-        const auto target = peers[static_cast<std::size_t>(
-                                      ctx.get_or("attempt", Value(0)).as_int()) %
-                                  peers.size()];
+        const auto target =
+            peers[static_cast<std::size_t>(ctx.attempt) % peers.size()];
         Value data = Value::map();
-        data.set("key", ctx.at("key")).set("request", ctx.at("request"));
-        send_peer_to(target, "after", "exec_req", std::move(data));
+        data.set("key", ctx.key).set("request", ctx.request);
+        control.send_peer_to(target, "after", "exec_req", std::move(data));
         return wait_for("exec_result");
       }
       return fail_with("assertion failed and no peer for re-execution");
@@ -95,89 +87,64 @@ void SyncAfterDuplexBase::restore_state(const Value& state) {
   if (wired("state")) call("state", "set", state);
 }
 
-Value SyncAfterDuplexBase::export_replies() { return call("replyLog", "export"); }
-
-void SyncAfterDuplexBase::import_replies(const Value& snapshot) {
-  call("replyLog", "import", snapshot);
-}
-
-Value SyncAfterDuplexBase::handle_exec_request(const Value& message) {
+Directive SyncAfterDuplexBase::handle_exec_request(const Value& message) {
   // The peer's assertion failed; execute the request here and return our
   // result (plus our state, so a stateful primary can realign after its
   // faulty execution). The response goes to the asker only.
   const Value& data = message.at("data");
   const auto asker = message.get_or("_from", Value(-1)).as_int();
+  ProtocolKernel& control = kernel();
   if (!with_assertion_ || !wired("server")) {
     // A mixed-configuration window (mid-transition) or a misdirected exec
     // request: this brick cannot re-execute safely. Refuse instead of
     // crashing; the peer fails the request safely.
     Value refusal = Value::map();
     refusal.set("key", data.at("key")).set("ok", false);
-    send_peer_to(asker, "after", "exec_result", std::move(refusal));
-    return Value::map();
+    control.send_peer_to(asker, "after", "exec_result", std::move(refusal));
+    return {};
   }
 
   // An LFR follower may have already executed this request through its own
   // forwarded pipeline (or even completed it): answer from that result
   // instead of executing a second time, which would double state mutations.
   const auto& key = data.at("key").as_string();
-  const Value logged = call("replyLog", "lookup", Value::map().set("key", key));
   Value local_result;
-  if (logged.at("found").as_bool()) {
-    local_result = logged.at("reply").at("result");
-  } else {
-    const Value peeked = call("control", "peek", Value::map().set("key", key));
-    if (peeked.at("found").as_bool()) {
-      if (peeked.at("phase").as_int() >= 2 && !peeked.at("result").is_null()) {
-        local_result = peeked.at("result");
-      } else {
-        // Our own execution of this request is still in flight; answer once
-        // it completes rather than executing a second time.
-        return defer_directive();
-      }
+  if (const Value* logged = reply_log().lookup(key)) {
+    local_result = logged->at("result");
+  } else if (const auto in_flight = control.peek(key)) {
+    if (in_flight->phase >= 2 && !in_flight->result->is_null()) {
+      local_result = *in_flight->result;
+    } else {
+      // Our own execution of this request is still in flight; answer once
+      // it completes rather than executing a second time.
+      return defer_directive();
     }
   }
-  if (!local_result.is_null()) {
-    const bool ok = check_assertion(data.at("request"), local_result);
-    Value reply = Value::map();
-    reply.set("key", key)
-        .set("ok", ok)
-        .set("result", local_result)
-        .set("state", capture_state());
-    send_peer_to(asker, "after", "exec_result", std::move(reply));
-    return Value::map();
-  }
-  // At-most-once for re-executions: a retransmitted exec_req (its response
-  // was lost) must answer from the recorded outcome, not execute again.
   const std::string exec_key = "exec:" + key;
-  const Value served =
-      call("replyLog", "lookup", Value::map().set("key", exec_key));
-  if (served.at("found").as_bool()) {
-    send_peer_to(asker, "after", "exec_result", served.at("reply"));
-    return Value::map();
-  }
-
-  const Value outcome = run_server(data.at("request"));
-  bool ok = true;
-  if (with_assertion_) {
-    ok = check_assertion(data.at("request"), outcome.at("result"));
+  const bool execute = local_result.is_null();
+  if (execute) {
+    // At-most-once for re-executions: a retransmitted exec_req (its
+    // response was lost) must answer from the recorded outcome.
+    if (const Value* served = reply_log().lookup(exec_key)) {
+      control.send_peer_to(asker, "after", "exec_result", *served);
+      return {};
+    }
+    local_result = run_server(data.at("request")).at("result");
   }
   Value reply = Value::map();
-  reply.set("key", data.at("key"))
-      .set("ok", ok)
-      .set("result", outcome.at("result"))
+  reply.set("key", key)
+      .set("ok", check_assertion(data.at("request"), local_result))
+      .set("result", local_result)
       .set("state", capture_state());
-  call("replyLog", "record",
-       Value::map().set("key", exec_key).set("reply", reply));
-  send_peer_to(asker, "after", "exec_result", std::move(reply));
-  return Value::map();
+  if (execute) reply_log().record(exec_key, reply);
+  control.send_peer_to(asker, "after", "exec_result", std::move(reply));
+  return {};
 }
 
-Value SyncAfterDuplexBase::handle_exec_result(const Value& ctx,
-                                              const Value& message) {
+Directive SyncAfterDuplexBase::handle_exec_result(const Value& message) {
   const Value& data = message.at("data");
   if (!data.at("ok").as_bool()) {
-    report_fault("both_replicas_faulty");
+    kernel().report_fault(Fault::kBothReplicasFaulty);
     return fail_with("assertion failed and peer could not re-execute");
   }
   // Adopt the peer's verified result (and state, when transferable), then
@@ -186,7 +153,6 @@ Value SyncAfterDuplexBase::handle_exec_result(const Value& ctx,
   if (data.has("state") && !data.at("state").is_null()) {
     restore_state(data.at("state"));
   }
-  (void)ctx;
   return again_with(data.at("result"));
 }
 

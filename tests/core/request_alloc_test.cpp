@@ -1,8 +1,8 @@
 // Allocation guards for the request path and the adaptation path.
 //
-// Every component call carries its arguments and results as Value maps, so
-// the heap cost of a map copy and of a whole steady-state request are the
-// figures that regress first. A differential transition ships ~30 KB of
+// Application calls and wire payloads carry Value maps (kernel and bricks
+// talk through typed calls), so the heap cost of a map copy and of a whole
+// steady-state request are the figures that regress first. A differential transition ships ~30 KB of
 // artifact bytes, so its heap bytes show every extra copy of a package.
 // These tests count calls to the global operator new (and the bytes they
 // ask for), as tests/common/encoded_size_test.cpp does, and fail when a
@@ -106,19 +106,25 @@ double allocs_per_request(const ftm::FtmConfig& config) {
 TEST(RequestAllocations, PbrRoundtripStaysUnderCeiling) {
   const double allocs = allocs_per_request(ftm::FtmConfig::pbr());
   RecordProperty("allocs_per_request", std::to_string(allocs));
-  EXPECT_LT(allocs, 89.0);  // 80.5 when set; 151 with copied maps
+  // 41.5 when set; 80.5 with string control ops and status maps; 151 with
+  // copied maps.
+  EXPECT_LT(allocs, 46.0);
 }
 
 TEST(RequestAllocations, LfrRoundtripStaysUnderCeiling) {
   const double allocs = allocs_per_request(ftm::FtmConfig::lfr());
   RecordProperty("allocs_per_request", std::to_string(allocs));
-  EXPECT_LT(allocs, 80.0);  // 72.5 when set; 129 with copied maps
+  // 31.7 when set; 72.5 with string control ops and status maps; 129 with
+  // copied maps.
+  EXPECT_LT(allocs, 35.0);
 }
 
 TEST(RequestAllocations, TrRoundtripStaysUnderCeiling) {
   const double allocs = allocs_per_request(ftm::FtmConfig::tr());
   RecordProperty("allocs_per_request", std::to_string(allocs));
-  EXPECT_LT(allocs, 35.5);  // 32.1 when set; 52.1 with copied maps
+  // 19.1 when set; 32.1 with string control ops and status maps; 52.1 with
+  // copied maps.
+  EXPECT_LT(allocs, 21.5);
 }
 
 /// Mean allocations and heap bytes per steady-state differential transition,
@@ -153,10 +159,11 @@ TEST(TransitionAllocs, PbrLfrCycleStaysUnderCeilings) {
   const TransitionCost cost = cost_per_transition();
   RecordProperty("allocs_per_transition", std::to_string(cost.allocs));
   RecordProperty("heap_bytes_per_transition", std::to_string(cost.heap_bytes));
-  // 873 allocs and 206 125 B when set; 879 and 283 572 B while each
-  // package encode regrew its buffer; 936 and 345 286 B with copied maps.
-  EXPECT_LT(cost.allocs, 960.0);
-  EXPECT_LT(cost.heap_bytes, 227000.0);
+  // 745 allocs and 202 292 B when set; 873 and 206 125 B with string
+  // control ops and status maps; 879 and 283 572 B while each package
+  // encode regrew its buffer; 936 and 345 286 B with copied maps.
+  EXPECT_LT(cost.allocs, 820.0);
+  EXPECT_LT(cost.heap_bytes, 222500.0);
 }
 
 }  // namespace
