@@ -10,8 +10,9 @@
 //
 // The tracer is compiled in but disabled by default: every instrumentation
 // site guards on enabled(), which is a single byte load, so a build with
-// tracing available pays nothing on the hot path until a tool (trace_dump,
-// chaos_runner --trace-out) switches it on.
+// tracing available pays nothing on the hot path until a tool
+// (chaos_runner --replay --trace-out, load_runner --scenario adapt
+// --trace-out) switches it on.
 //
 // export_chrome_json() merges the per-host rings into Chrome trace_event
 // JSON ("X" complete events on pid = host id, tid = trace id), loadable in

@@ -49,7 +49,9 @@ ChaosCampaignResult execute(const ChaosCampaignOptions& options,
   sys.seed = options.seed;
   sys.start_monitoring = false;  // campaigns adapt only on explicit request
   ResilientSystem system(sys);
-  system.sim().loop().reserve(options.queue_depth_hint);
+  // Chaos campaigns peak well under 100 pending timers: this keeps even a
+  // transition-heavy run allocation-free in the scheduler.
+  system.sim().loop().reserve(256);
   // Tracing must switch on before deployment so the deploy spans and every
   // request span land in the rings; the run itself stays bit-identical
   // (recording never schedules events or draws randomness).

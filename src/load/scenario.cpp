@@ -49,7 +49,8 @@ AdaptScenarioResult run_adapt_scenario(const AdaptScenarioOptions& options) {
   sys.thresholds.utilization_high = 0.5;
   sys.thresholds.utilization_low = 0.15;
   core::ResilientSystem system(sys);
-  system.sim().loop().reserve(options.queue_depth_hint);
+  // Pending-event depth: clients, detectors, checkpoint + monitoring timers.
+  system.sim().loop().reserve(4096);
   if (options.record_trace) system.sim().tracer().set_enabled(true);
 
   // Full-state PBR: the heaviest per-request traffic profile, and the one

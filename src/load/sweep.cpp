@@ -55,7 +55,10 @@ SweepResult run_sweep(const SweepOptions& options) {
   sys.replica_bandwidth_bps = options.replica_bandwidth_bps;
   sys.start_monitoring = false;  // the sweep measures, it does not adapt
   core::ResilientSystem system(sys);
-  system.sim().loop().reserve(options.queue_depth_hint);
+  // Pending-event depth: roughly one in-flight timer set per client plus
+  // detector and checkpoint timers, with headroom for the saturated tail of
+  // the ramp.
+  system.sim().loop().reserve(4096);
   for (std::size_t i = 0; i < system.replica_count(); ++i) {
     system.replica(i).capacity().cpu_speed = options.cpu_speed;
   }

@@ -11,6 +11,7 @@
 //   chaos_runner --seeds 5                # bounded smoke sweep
 //   chaos_runner --replay 17 --ftm LFR --delta off
 //   chaos_runner --replay 3 --ftm PBR --delta on --transition-to LFR
+//   chaos_runner --replay 3 --trace-out t.json --metrics-out m.jsonl
 //   chaos_runner --demo-shrink            # broken oracle -> shrunk timeline
 //   chaos_runner --list-points            # fault-simulation point catalogue
 //   chaos_runner --fsim 'ckpt.*'          # restrict fsim to matching points
@@ -19,25 +20,32 @@
 // Every campaign is bit-deterministic in its seed: replaying a reported
 // failure reproduces the identical trace, and the shrunk schedule is
 // re-validated by replay before it is printed.
+//
+// A replay records structured spans when asked for an artifact: --trace-out
+// writes Chrome trace_event JSON (chrome://tracing or ui.perfetto.dev; one
+// process row per simulated host, one request's Before/Proceed/After phases
+// lined up across hosts) and --metrics-out one JSON object per line for
+// every counter, gauge and histogram the run touched. Both are
+// byte-identical for the same seed and options.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cli.hpp"
-#include "rcs/common/logging.hpp"
 #include "rcs/core/chaos_campaign.hpp"
 #include "rcs/fsim/fsim.hpp"
+#include "rcs/ftm/config.hpp"
 #include "rcs/sim/run_stats.hpp"
 
 namespace {
 
-using rcs::cli::parse_flag;
 using rcs::cli::write_file;
 using rcs::core::ChaosCampaignOptions;
 using rcs::core::ChaosCampaignResult;
@@ -79,11 +87,10 @@ struct Args {
   int transition_seeds{20};
   int jobs{1};
   std::uint64_t base_seed{1};
-  std::vector<std::string> ftms{"PBR", "LFR", "TR"};
-  std::string delta{"both"};  // on | off | both
+  std::vector<std::string> ftms;  // --ftm, split at commas
+  std::string delta{"both"};      // on | off | both
   bool has_replay{false};
   std::uint64_t replay_seed{0};
-  std::string replay_ftm{"PBR"};
   std::string transition_to;
   bool demo_shrink{false};
   bool verbose{false};
@@ -96,20 +103,18 @@ struct Args {
   bool quick{false};  // coverage sweep: 1 seed per spec per round
 };
 
-void usage() {
-  std::puts(
-      "usage: chaos_runner [--seeds N] [--transitions N] [--base-seed S]\n"
-      "                    [--ftm A,B,..] [--delta on|off|both] [--jobs N]\n"
-      "                    [--fsim GLOB|off] [--coverage-out FILE]\n"
-      "                    [--verbose]\n"
-      "       chaos_runner --replay SEED --ftm NAME --delta on|off\n"
-      "                    [--transition-to NAME] [--trace-out FILE]\n"
-      "                    [--metrics-out FILE] [--coverage-out FILE]\n"
-      "       chaos_runner --coverage-sweep [--quick] [--base-seed S]\n"
-      "                    [--fsim GLOB] [--coverage-out FILE]\n"
-      "       chaos_runner --list-points\n"
-      "       chaos_runner --demo-shrink");
-}
+constexpr const char* kUsage =
+    "usage: chaos_runner [--seeds N] [--transitions N] [--base-seed S]\n"
+    "                    [--ftm A,B,..] [--delta on|off|both] [--jobs N]\n"
+    "                    [--fsim GLOB|off] [--coverage-out FILE]\n"
+    "                    [--verbose]\n"
+    "       chaos_runner --replay SEED --ftm NAME --delta on|off\n"
+    "                    [--transition-to NAME] [--trace-out FILE]\n"
+    "                    [--metrics-out FILE] [--coverage-out FILE]\n"
+    "       chaos_runner --coverage-sweep [--quick] [--base-seed S]\n"
+    "                    [--fsim GLOB] [--coverage-out FILE]\n"
+    "       chaos_runner --list-points\n"
+    "       chaos_runner --demo-shrink";
 
 /// Minimal glob: '*' any run, '?' any one char, everything else literal.
 bool glob_match(const char* pattern, const char* text) {
@@ -162,75 +167,45 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-bool parse_args(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--seeds") {
-      if (!parse_flag(arg, next(), 0, kMaxSeeds, args.seeds)) return false;
-    } else if (arg == "--transitions") {
-      if (!parse_flag(arg, next(), 0, kMaxSeeds, args.transition_seeds)) {
-        return false;
-      }
-    } else if (arg == "--jobs") {
-      if (!parse_flag(arg, next(), 1, 1024, args.jobs)) return false;
-    } else if (arg == "--base-seed") {
-      if (!parse_flag(arg, next(), 0, UINT64_MAX, args.base_seed)) return false;
-    } else if (arg == "--ftm") {
-      const char* v = next();
-      if (!v) return false;
-      args.ftms = split_csv(v);
-      args.replay_ftm = args.ftms.empty() ? "PBR" : args.ftms.front();
-    } else if (arg == "--delta") {
-      const char* v = next();
-      if (!v) return false;
-      args.delta = v;
-    } else if (arg == "--replay") {
-      if (!parse_flag(arg, next(), 0, UINT64_MAX, args.replay_seed)) {
-        return false;
-      }
-      args.has_replay = true;
-    } else if (arg == "--transition-to") {
-      const char* v = next();
-      if (!v) return false;
-      args.transition_to = v;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.trace_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.metrics_out = v;
-    } else if (arg == "--fsim") {
-      const char* v = next();
-      if (!v) return false;
-      args.fsim_glob = v;
-    } else if (arg == "--coverage-out") {
-      const char* v = next();
-      if (!v) return false;
-      args.coverage_out = v;
-    } else if (arg == "--list-points") {
-      args.list_points = true;
-    } else if (arg == "--coverage-sweep") {
-      args.coverage_sweep = true;
-    } else if (arg == "--quick") {
-      args.quick = true;
-    } else if (arg == "--demo-shrink") {
-      args.demo_shrink = true;
-    } else if (arg == "--verbose") {
-      args.verbose = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
+/// An --ftm or --transition-to name must be a standard FTM, so an unknown
+/// or empty one is rejected before any campaign runs.
+void check_ftm(const std::string& name) {
+  (void)rcs::ftm::FtmConfig::by_name(name);
+}
+
+void check_ftms(const std::string& csv) {
+  for (const auto& name : split_csv(csv)) check_ftm(name);
+}
+
+/// Parse argv into `args`; returns the exit status when the tool must stop.
+std::optional<int> parse_args(int argc, char** argv, Args& args) {
+  std::string ftm_csv = "PBR,LFR,TR";
+  rcs::cli::Flags flags(kUsage);
+  flags.number("--seeds", 0, kMaxSeeds, args.seeds)
+      .number("--transitions", 0, kMaxSeeds, args.transition_seeds)
+      .number("--jobs", 1, 1024, args.jobs)
+      .number("--base-seed", 0, UINT64_MAX, args.base_seed)
+      .text("--ftm", ftm_csv, check_ftms)
+      .choice("--delta", {"on", "off", "both"}, args.delta)
+      .number("--replay", 0, UINT64_MAX, args.replay_seed)
+      .text("--transition-to", args.transition_to, check_ftm)
+      .text("--trace-out", args.trace_out)
+      .text("--metrics-out", args.metrics_out)
+      .text("--fsim", args.fsim_glob)
+      .text("--coverage-out", args.coverage_out)
+      .toggle("--list-points", args.list_points)
+      .toggle("--coverage-sweep", args.coverage_sweep)
+      .toggle("--quick", args.quick)
+      .toggle("--demo-shrink", args.demo_shrink)
+      .toggle("--verbose", args.verbose);
+  if (const auto stop = flags.parse(argc, argv)) return stop;
+  args.ftms = split_csv(ftm_csv);
+  args.has_replay = flags.given("--replay");
+  if (args.has_replay && args.delta == "both" && flags.given("--delta")) {
+    return flags.fail(
+        "bad --delta value: 'both' (expected on|off with --replay)");
   }
-  return true;
+  return std::nullopt;
 }
 
 std::string replay_command(const ChaosCampaignOptions& options) {
@@ -258,8 +233,7 @@ void report_failure(const ChaosCampaignOptions& options,
   std::printf("replay: %s\n", replay_command(options).c_str());
 }
 
-/// Account and print one finished campaign; shared by the serial path and
-/// the --jobs merge so both emit byte-identical reports.
+/// Account and print one finished campaign, in plan order.
 int report_one(const ChaosCampaignOptions& options,
                const ChaosCampaignResult& result, bool verbose,
                int& campaigns, int& failures, RunSummary& summary) {
@@ -278,12 +252,6 @@ int report_one(const ChaosCampaignOptions& options,
     return 1;
   }
   return 0;
-}
-
-int run_one(const ChaosCampaignOptions& options, bool verbose,
-            int& campaigns, int& failures, RunSummary& summary) {
-  const auto result = rcs::core::run_campaign(options);
-  return report_one(options, result, verbose, campaigns, failures, summary);
 }
 
 /// Deterministic stdout footer shared by every sweep exit path, so the
@@ -306,12 +274,8 @@ void print_coverage_footer(const RunSummary& summary) {
 
 int run_sweep(const Args& args, RunSummary& summary) {
   std::vector<bool> delta_modes;
-  if (args.delta == "on" || args.delta == "both") delta_modes.push_back(true);
-  if (args.delta == "off" || args.delta == "both") delta_modes.push_back(false);
-  if (delta_modes.empty()) {
-    std::fprintf(stderr, "bad --delta value: %s\n", args.delta.c_str());
-    return 2;
-  }
+  if (args.delta != "off") delta_modes.push_back(true);
+  if (args.delta != "on") delta_modes.push_back(false);
   bool fsim_on = true;
   std::vector<int> fsim_points;
   if (!resolve_fsim(args, fsim_on, fsim_points)) return 2;
@@ -369,54 +333,38 @@ int run_sweep(const Args& args, RunSummary& summary) {
   }
   std::printf("} x {%s}\n", args.delta.c_str());
 
-  if (args.jobs <= 1) {
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (i == transition_start) print_transition_header();
-      if (run_one(plan[i], args.verbose, campaigns, failures, summary)) {
-        std::printf("\n%d campaign(s), %d failure(s)\n", campaigns,
-                    failures);
-        print_coverage_footer(summary);
-        return 1;
-      }
-    }
-    if (plan.size() == transition_start) print_transition_header();
-    std::printf("\n%d campaign(s), %d failure(s) — all invariants held\n",
-                campaigns, failures);
-    print_coverage_footer(summary);
-    if (!args.coverage_out.empty() &&
-        !write_file(args.coverage_out, summary.coverage.to_json(),
-                    "coverage")) {
-      return 2;
-    }
-    return 0;
-  }
-
-  // Parallel execution: one Simulation per worker thread (campaigns are
-  // independent and each owns its whole world), results merged in plan
-  // order. A failing serial sweep stops at the first failure; here the
-  // later campaigns have already run, but the report still cuts off at the
-  // first failure in canonical order, so the two modes print the same
-  // bytes either way.
+  // One Simulation per worker (campaigns are independent and each owns its
+  // whole world); --jobs 1 runs the one worker inline. Indices are taken in
+  // plan order and none after a failure, so every campaign up to the first
+  // failure in plan order has run, and the report below cuts off there:
+  // every --jobs value prints the same bytes.
   std::vector<ChaosCampaignResult> results(plan.size());
   std::vector<std::string> errors(plan.size());
   std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
   const auto worker = [&] {
-    for (;;) {
+    while (!failed.load()) {
       const std::size_t i = cursor.fetch_add(1);
       if (i >= plan.size()) return;
       try {
         results[i] = rcs::core::run_campaign(plan[i]);
+        if (!results[i].passed) failed.store(true);
       } catch (const std::exception& e) {
         errors[i] = e.what();
+        failed.store(true);
       }
     }
   };
-  std::vector<std::thread> workers;
   const auto worker_count = std::min<std::size_t>(
       static_cast<std::size_t>(args.jobs), std::max<std::size_t>(plan.size(), 1));
-  workers.reserve(worker_count);
-  for (std::size_t j = 0; j < worker_count; ++j) workers.emplace_back(worker);
-  for (auto& thread : workers) thread.join();
+  if (worker_count <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(worker_count);
+    for (std::size_t j = 0; j < worker_count; ++j) workers.emplace_back(worker);
+    for (auto& thread : workers) thread.join();
+  }
 
   for (std::size_t i = 0; i < plan.size(); ++i) {
     if (i == transition_start) print_transition_header();
@@ -448,7 +396,7 @@ int run_sweep(const Args& args, RunSummary& summary) {
 int run_replay(const Args& args, RunSummary& summary) {
   ChaosCampaignOptions options;
   options.seed = args.replay_seed;
-  options.ftm = args.replay_ftm;
+  options.ftm = args.ftms.front();
   options.delta_checkpoint = args.delta != "off";
   options.transition_to = args.transition_to;
   options.record_trace = !args.trace_out.empty() || !args.metrics_out.empty();
@@ -456,12 +404,9 @@ int run_replay(const Args& args, RunSummary& summary) {
   const auto result = rcs::core::run_campaign(options);
   summary.add(result);
   std::printf("%s", result.trace.c_str());
-  if (!args.trace_out.empty() &&
-      !write_file(args.trace_out, result.trace_json, "trace")) {
-    return 2;
-  }
-  if (!args.metrics_out.empty() &&
-      !write_file(args.metrics_out, result.metrics_json, "metrics")) {
+  if (!rcs::cli::write_trace_artifacts(args.trace_out, result.trace_json,
+                                       args.metrics_out,
+                                       result.metrics_json)) {
     return 2;
   }
   if (!args.coverage_out.empty() &&
@@ -571,7 +516,7 @@ int run_demo_shrink(const Args& args) {
   // demonstrably reduces the timeline to (usually) a single episode.
   ChaosCampaignOptions options;
   options.seed = args.base_seed;
-  options.ftm = args.ftms.empty() ? "PBR" : args.ftms.front();
+  options.ftm = args.ftms.front();
   options.forbid_retries = true;
   std::printf("demo: oracle forbids retries; chaos must violate it\n");
   const auto result = rcs::core::run_campaign(options);
@@ -589,13 +534,8 @@ int run_demo_shrink(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
-  rcs::log().set_level(args.verbose ? rcs::LogLevel::kInfo
-                                    : rcs::LogLevel::kWarn);
-  if (args.verbose) rcs::log().set_stderr_level(rcs::LogLevel::kInfo);
+  if (const auto stop = parse_args(argc, argv, args)) return *stop;
+  rcs::cli::set_log_level(args.verbose);
   if (args.list_points) return run_list_points();
   if (args.demo_shrink) return run_demo_shrink(args);
   RunSummary summary;

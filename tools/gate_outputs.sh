@@ -38,12 +38,10 @@ tools="$build/tools"
   --trace-out "$out/adapt-trace.json" \
   --metrics-out "$out/adapt-metrics.jsonl" > "$out/adapt-load.txt"
 
-# Headless gateway (must match the adapt scenario's stdout).
-"$tools/gateway_runner" --headless --seed 1 > "$out/adapt-gateway.txt"
-
 # Traced transition campaign.
-"$tools/trace_dump" --seed 3 --ftm PBR --transition-to LFR \
-  -o "$out/trace.json" --metrics-out "$out/trace-metrics.jsonl" > /dev/null
+"$tools/chaos_runner" --replay 3 --ftm PBR --delta on --transition-to LFR \
+  --trace-out "$out/trace.json" --metrics-out "$out/trace-metrics.jsonl" \
+  > /dev/null
 
 # Bench counted fields.
 "$build/bench/bench_message_plane" --quick > "$out/message-plane.jsonl"

@@ -3,47 +3,37 @@
 //   gateway_runner                                # live: HTTP on :8080, 1x speed
 //   gateway_runner --port 0 --port-file p.txt     # ephemeral port for CI
 //   gateway_runner --speed 4 --fleet 30 --rps 150 # background load, 4x time
-//   gateway_runner --headless --seed 1            # no sockets: byte-identical
-//                                                 # to `load_runner --scenario adapt`
 //
-// Live mode builds a ResilientSystem (PBR over 2 replicas), bridges it to a
+// The runner builds a ResilientSystem (PBR over 2 replicas), bridges it to a
 // TCP listener through the gateway command queue, and paces virtual time
 // against the wall clock. External clients (curl, the browser console at /)
 // inject real requests into the simulation at quantum boundaries; a
 // WebSocket stream at /ws publishes status + metrics frames. SIGINT/SIGTERM
-// stop the pacing loop, drain the server, and exit 0.
-//
-// Headless mode runs the exact adaptation-under-load scenario load_runner
-// runs — same options, same stdout bytes — so CI can cmp the two binaries'
-// output and prove the gateway layering changed nothing underneath.
+// stop the pacing loop, drain the server, and exit 0. The deterministic
+// adaptation-under-load scenario, without sockets, is
+// `load_runner --scenario adapt`.
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "cli.hpp"
-#include "rcs/common/logging.hpp"
 #include "rcs/ftm/config.hpp"
 #include "rcs/gateway/bridge.hpp"
 #include "rcs/gateway/server.hpp"
 #include "rcs/load/arrival.hpp"
-#include "rcs/load/scenario.hpp"
+#include "rcs/load/fleet.hpp"
 
 namespace {
-
-using rcs::cli::parse_flag;
 
 std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 
 struct Args {
-  bool headless{false};
   std::uint64_t seed{1};
-  // --- live mode ---
   std::string bind{"127.0.0.1"};
   int port{8080};
   std::string port_file;
@@ -54,97 +44,15 @@ struct Args {
   std::string console{"tools/console/index.html"};
   double quantum_ms{20.0};
   double snapshot_ms{500.0};
-  // --- headless mode (mirrors load_runner --scenario adapt) ---
-  std::size_t clients{30};
-  double bandwidth_bps{12'500'000.0};
   bool verbose{false};
 };
 
-void usage() {
-  std::puts(
-      "usage: gateway_runner [--bind ADDR] [--port N] [--port-file FILE]\n"
-      "                      [--speed X] [--duration SEC] [--seed S]\n"
-      "                      [--fleet N] [--rps R] [--console FILE]\n"
-      "                      [--quantum-ms MS] [--snapshot-ms MS]\n"
-      "                      [--verbose]\n"
-      "       gateway_runner --headless [--seed S] [--clients N] [--rps R]\n"
-      "                      [--bandwidth BPS]");
-}
-
-bool parse_args(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--headless") {
-      args.headless = true;
-    } else if (arg == "--seed") {
-      if (!parse_flag(arg, next(), 0, UINT64_MAX, args.seed)) return false;
-    } else if (arg == "--bind") {
-      const char* v = next();
-      if (!v) return false;
-      args.bind = v;
-    } else if (arg == "--port") {
-      if (!parse_flag(arg, next(), 0, 65'535, args.port)) return false;
-    } else if (arg == "--port-file") {
-      const char* v = next();
-      if (!v) return false;
-      args.port_file = v;
-    } else if (arg == "--speed") {
-      if (!parse_flag(arg, next(), 0.0, 1e6, args.speed)) return false;
-    } else if (arg == "--duration") {
-      if (!parse_flag(arg, next(), 0.0, 1e9, args.duration_s)) return false;
-    } else if (arg == "--fleet") {
-      if (!parse_flag(arg, next(), 0, 100'000, args.fleet)) return false;
-    } else if (arg == "--rps") {
-      if (!parse_flag(arg, next(), 1e-3, 1e6, args.rps)) return false;
-    } else if (arg == "--console") {
-      const char* v = next();
-      if (!v) return false;
-      args.console = v;
-    } else if (arg == "--quantum-ms") {
-      // Both periods are whole virtual microseconds, so 1 us is the floor.
-      if (!parse_flag(arg, next(), 1e-3, 1e6, args.quantum_ms)) return false;
-    } else if (arg == "--snapshot-ms") {
-      if (!parse_flag(arg, next(), 1e-3, 1e9, args.snapshot_ms)) return false;
-    } else if (arg == "--clients") {
-      if (!parse_flag(arg, next(), 1, 100'000, args.clients)) return false;
-    } else if (arg == "--bandwidth") {
-      if (!parse_flag(arg, next(), 1.0, 1e12, args.bandwidth_bps)) {
-        return false;
-      }
-    } else if (arg == "--verbose") {
-      args.verbose = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Headless: the same scenario, options mapping, stdout bytes, and exit code
-/// as `load_runner --scenario adapt` — the determinism cmp gate depends on
-/// this staying in lockstep.
-int run_headless(const Args& args) {
-  rcs::load::AdaptScenarioOptions options;
-  options.seed = args.seed;
-  options.clients = args.clients;
-  options.offered_rps = args.rps;
-  if (args.bandwidth_bps != 12'500'000.0) {
-    options.replica_bandwidth_bps = args.bandwidth_bps;
-  }
-  const auto result = rcs::load::run_adapt_scenario(options);
-  std::fputs(result.trace.c_str(), stdout);
-  std::fprintf(stderr, "headless: %llu events, %s\n",
-               static_cast<unsigned long long>(result.run_stats.events),
-               result.passed ? "passed" : "FAILED");
-  return result.passed ? 0 : 1;
-}
+constexpr const char* kUsage =
+    "usage: gateway_runner [--bind ADDR] [--port N] [--port-file FILE]\n"
+    "                      [--speed X] [--duration SEC] [--seed S]\n"
+    "                      [--fleet N] [--rps R] [--console FILE]\n"
+    "                      [--quantum-ms MS] [--snapshot-ms MS]\n"
+    "                      [--verbose]";
 
 int run_live(const Args& args) {
   std::signal(SIGPIPE, SIG_IGN);
@@ -228,12 +136,21 @@ int run_live(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
-  rcs::log().set_level(args.verbose ? rcs::LogLevel::kInfo
-                                    : rcs::LogLevel::kWarn);
-  if (args.verbose) rcs::log().set_stderr_level(rcs::LogLevel::kInfo);
-  return args.headless ? run_headless(args) : run_live(args);
+  rcs::cli::Flags flags(kUsage);
+  flags.number("--seed", 0, UINT64_MAX, args.seed)
+      .text("--bind", args.bind)
+      .number("--port", 0, 65'535, args.port)
+      .text("--port-file", args.port_file)
+      .number("--speed", 0.0, 1e6, args.speed)
+      .number("--duration", 0.0, 1e9, args.duration_s)
+      .number("--fleet", 0, 100'000, args.fleet)
+      .number("--rps", 1e-3, 1e6, args.rps)
+      .text("--console", args.console)
+      // Both periods are whole virtual microseconds, so 1 us is the floor.
+      .number("--quantum-ms", 1e-3, 1e6, args.quantum_ms)
+      .number("--snapshot-ms", 1e-3, 1e9, args.snapshot_ms)
+      .toggle("--verbose", args.verbose);
+  if (const auto stop = flags.parse(argc, argv)) return *stop;
+  rcs::cli::set_log_level(args.verbose);
+  return run_live(args);
 }
