@@ -19,6 +19,11 @@ void Component::set_property(const std::string& key, Value value) {
   on_property_changed(key);
 }
 
+void Component::erase_property(const std::string& key) {
+  properties_.as_map().erase(key);
+  on_property_changed(key);
+}
+
 Value Component::invoke(const std::string& service, const std::string& op,
                         const Value& args) {
   if (state_ != LifecycleState::kStarted) throw_stopped(service);

@@ -120,19 +120,21 @@ void Composite::wire(const std::string& from, const std::string& reference,
               service);
 }
 
-void Composite::unwire(const std::string& from, const std::string& reference) {
+Composite::Wire Composite::unwire(const std::string& from,
+                                  const std::string& reference) {
   const auto key = std::make_pair(from, reference);
   const auto it = wires_.find(key);
   if (it == wires_.end()) {
     throw ComponentError(strf(name_, ": reference ", from, ".", reference,
                               " is not wired"));
   }
-  wires_.erase(it);
+  Wire removed = std::move(wires_.extract(it).mapped());
   Component& from_c = child(from);
   const PortSpec* ref_spec = from_c.info().find_reference(reference);
   from_c.links_[static_cast<std::size_t>(
       ref_spec - from_c.info().references.data())] = {};
   log().trace("comp", name_, ": unwire ", from, ".", reference);
+  return removed;
 }
 
 void Composite::set_property(const std::string& instance_name,

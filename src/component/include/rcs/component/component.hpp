@@ -49,6 +49,8 @@ class Component {
   [[nodiscard]] const Value& properties() const { return properties_; }
   [[nodiscard]] Value property(const std::string& key) const;
   void set_property(const std::string& key, Value value);
+  /// Drop `key` (a no-op when absent); property(key) then reads null.
+  void erase_property(const std::string& key);
 
   // --- Dynamic invocation -------------------------------------------------
   /// Invoke an operation on one of this component's services. Throws

@@ -70,8 +70,14 @@ class Composite {
   /// not already be wired.
   void wire(const std::string& from, const std::string& reference,
             const std::string& to, const std::string& service);
-  /// Disconnect a reference. Throws if it is not wired.
-  void unwire(const std::string& from, const std::string& reference);
+  /// The far end of a wire.
+  struct Wire {
+    std::string to_component;
+    std::string service;
+  };
+  /// Disconnect a reference and return what it was wired to. Throws if it
+  /// is not wired.
+  Wire unwire(const std::string& from, const std::string& reference);
 
   void set_property(const std::string& instance_name, const std::string& key,
                     Value value);
@@ -98,11 +104,6 @@ class Composite {
                const std::string& op, const Value& args);
 
  private:
-  struct Wire {
-    std::string to_component;
-    std::string service;
-  };
-
   std::string name_;
   Env env_;
   std::map<std::string, std::unique_ptr<Component>> children_;

@@ -6,10 +6,17 @@
 // require-assertions, if/else, and log. Expressions are literals, variables,
 // builtin introspection calls (exists/started/wired/property/typeof) and
 // boolean combinators.
+//
+// The parser resolves every verb and builtin name to an enum and builds every
+// literal's Value once, so running a script looks up no name but its
+// variables. An unknown verb or builtin still parses (it carries its spelling)
+// and fails when it runs.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -28,9 +35,22 @@ struct VarExpr {
   std::string name;
 };
 
+enum class Builtin : std::uint8_t {
+  kExists,
+  kStarted,
+  kWired,
+  kProperty,
+  kTypeof,
+  kUnknown,
+};
+
+/// The builtin spelled `name`; kUnknown for any other name.
+[[nodiscard]] Builtin builtin_named(std::string_view name);
+
 /// Builtin introspection function call, e.g. exists("syncBefore").
 struct CallExpr {
-  std::string function;
+  Builtin builtin;
+  std::string function;  // the spelling, for error messages
   std::vector<ExprPtr> args;
 };
 
@@ -53,9 +73,30 @@ struct Expr {
 struct Stmt;
 using StmtPtr = std::unique_ptr<Stmt>;
 
+/// The statement verbs. The ones before kLog are reconfiguration operations,
+/// counted in ExecutionStats.
+enum class Verb : std::uint8_t {
+  kAdd,
+  kRemove,
+  kStart,
+  kStop,
+  kWire,
+  kUnwire,
+  kSet,
+  kLog,
+  kUnknown,
+};
+inline constexpr std::size_t kReconfigVerbs = static_cast<std::size_t>(Verb::kLog);
+
+/// The verb spelled `name`; kUnknown for any other name.
+[[nodiscard]] Verb verb_named(std::string_view name);
+/// The spelling of a known verb.
+[[nodiscard]] const char* to_string(Verb verb);
+
 /// A reconfiguration verb or log(): add/remove/start/stop/wire/unwire/set/log.
 struct VerbStmt {
-  std::string verb;
+  Verb verb;
+  std::string name;  // the spelling, for error messages
   std::vector<ExprPtr> args;
 };
 

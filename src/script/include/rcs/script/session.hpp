@@ -5,22 +5,30 @@
 // all-or-nothing semantics the paper requires of its FScript substrate
 // (§5.3 "local consistency"): a failed or constraint-violating transition
 // leaves the architecture exactly as it was.
+//
+// The journal is data: one Undo record per operation, replayed by a switch.
 #pragma once
 
-#include <functional>
-#include <map>
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "rcs/common/error.hpp"
 #include "rcs/common/value.hpp"
 #include "rcs/component/composite.hpp"
+#include "rcs/script/ast.hpp"
 
 namespace rcs::script {
 
 class ReconfigSession {
  public:
-  explicit ReconfigSession(comp::Composite& composite) : composite_(composite) {}
+  /// `expected_ops` reserves journal room for that many operations.
+  explicit ReconfigSession(comp::Composite& composite,
+                           std::size_t expected_ops = 0)
+      : composite_(composite) {
+    journal_.reserve(expected_ops);
+  }
   ~ReconfigSession();
 
   ReconfigSession(const ReconfigSession&) = delete;
@@ -49,19 +57,40 @@ class ReconfigSession {
   [[nodiscard]] std::size_t journal_size() const { return journal_.size(); }
   /// Number of reconfiguration operations executed (for cost accounting).
   [[nodiscard]] int op_count() const { return op_count_; }
-  [[nodiscard]] const std::map<std::string, int>& ops_by_verb() const {
+  /// Operations executed per reconfiguration verb, indexed by Verb.
+  [[nodiscard]] const std::array<int, kReconfigVerbs>& ops_by_verb() const {
     return ops_by_verb_;
   }
 
   [[nodiscard]] comp::Composite& composite() { return composite_; }
 
  private:
-  void record(std::function<void()> inverse);
-  void count(const std::string& verb);
+  /// The inverse of one operation.
+  struct Undo {
+    enum class Kind : std::uint8_t {
+      kRemove,           // remove `name`
+      kRevive,           // add `name` of type `key` with properties `value`
+      kStart,            // start `name`
+      kStop,             // stop `name`
+      kWire,             // wire `name`.`key` to `to`.`service`
+      kUnwire,           // unwire `name`.`key`
+      kRestoreProperty,  // set property `key` of `name` back to `value`
+      kEraseProperty,    // erase property `key` of `name`
+    };
+    Kind kind{};
+    std::string name{};
+    std::string key{};
+    std::string to{};
+    std::string service{};
+    Value value{};
+  };
+
+  void count(Verb verb);
+  void undo(Undo& record);
 
   comp::Composite& composite_;
-  std::vector<std::function<void()>> journal_;
-  std::map<std::string, int> ops_by_verb_;
+  std::vector<Undo> journal_;
+  std::array<int, kReconfigVerbs> ops_by_verb_{};
   int op_count_{0};
   bool committed_{false};
   bool rolled_back_{false};

@@ -14,15 +14,14 @@ namespace {
   throw ScriptException(strf("script error (line ", line, "): ", message));
 }
 
+/// Runs statements. Literal and variable operands are used in place; only a
+/// computed value (a builtin call, a comparison) is built, into a scratch
+/// slot owned by the caller. Operands are evaluated last to first.
 class Execution {
  public:
   Execution(ReconfigSession& session, const Value& bindings)
       : session_(session) {
-    if (!bindings.is_null()) {
-      for (const auto& [key, value] : bindings.as_map()) {
-        variables_[key] = value;
-      }
-    }
+    if (!bindings.is_null()) bindings_ = &bindings.as_map();
   }
 
   void run(const std::vector<StmtPtr>& statements) {
@@ -36,142 +35,181 @@ class Execution {
   }
 
   void execute_node(int line, const VerbStmt& stmt) {
-    const auto arg = [&](std::size_t i) -> Value {
-      if (i >= stmt.args.size()) {
-        fail(line, strf(stmt.verb, ": missing argument ", i + 1));
+    const auto expect_arity = [&](std::size_t n) {
+      if (stmt.args.size() != n) {
+        fail(line, strf(stmt.name, ": expected ", n, " argument(s), got ",
+                        stmt.args.size()));
       }
-      return evaluate(*stmt.args[i]);
     };
-    const auto str = [&](std::size_t i) -> std::string {
-      const Value v = arg(i);
+    Value scratch[4];
+    const auto arg = [&](std::size_t i) -> const Value& {
+      return evaluate(*stmt.args[i], scratch[i]);
+    };
+    const auto str = [&](std::size_t i) -> const std::string& {
+      const Value& v = arg(i);
       if (!v.is_string()) {
-        fail(line, strf(stmt.verb, ": argument ", i + 1, " must be a string, got ",
+        fail(line, strf(stmt.name, ": argument ", i + 1, " must be a string, got ",
                         v.type_name()));
       }
       return v.as_string();
     };
-    const auto expect_arity = [&](std::size_t n) {
-      if (stmt.args.size() != n) {
-        fail(line, strf(stmt.verb, ": expected ", n, " argument(s), got ",
-                        stmt.args.size()));
-      }
-    };
 
-    if (stmt.verb == "add") {
-      expect_arity(2);
-      session_.add(str(0), str(1));
-    } else if (stmt.verb == "remove") {
-      expect_arity(1);
-      session_.remove(str(0));
-    } else if (stmt.verb == "start") {
-      expect_arity(1);
-      session_.start(str(0));
-    } else if (stmt.verb == "stop") {
-      expect_arity(1);
-      session_.stop(str(0));
-    } else if (stmt.verb == "wire") {
-      expect_arity(4);
-      session_.wire(str(0), str(1), str(2), str(3));
-    } else if (stmt.verb == "unwire") {
-      expect_arity(2);
-      session_.unwire(str(0), str(1));
-    } else if (stmt.verb == "set") {
-      expect_arity(3);
-      session_.set_property(str(0), str(1), arg(2));
-    } else if (stmt.verb == "log") {
-      expect_arity(1);
-      log().info("rscript", arg(0).is_string() ? arg(0).as_string()
-                                               : arg(0).to_string());
-    } else {
-      fail(line, strf("unknown verb '", stmt.verb, "'"));
+    switch (stmt.verb) {
+      case Verb::kAdd: {
+        expect_arity(2);
+        const std::string& instance = str(1);
+        session_.add(str(0), instance);
+        return;
+      }
+      case Verb::kRemove:
+        expect_arity(1);
+        session_.remove(str(0));
+        return;
+      case Verb::kStart:
+        expect_arity(1);
+        session_.start(str(0));
+        return;
+      case Verb::kStop:
+        expect_arity(1);
+        session_.stop(str(0));
+        return;
+      case Verb::kWire: {
+        expect_arity(4);
+        const std::string& service = str(3);
+        const std::string& to = str(2);
+        const std::string& reference = str(1);
+        session_.wire(str(0), reference, to, service);
+        return;
+      }
+      case Verb::kUnwire: {
+        expect_arity(2);
+        const std::string& reference = str(1);
+        session_.unwire(str(0), reference);
+        return;
+      }
+      case Verb::kSet: {
+        expect_arity(3);
+        Value value = arg(2);
+        const std::string& key = str(1);
+        session_.set_property(str(0), key, std::move(value));
+        return;
+      }
+      case Verb::kLog: {
+        expect_arity(1);
+        const Value& message = arg(0);
+        log().info("rscript", message.is_string() ? message.as_string()
+                                                  : message.to_string());
+        return;
+      }
+      case Verb::kUnknown:
+        break;
     }
+    fail(line, strf("unknown verb '", stmt.name, "'"));
   }
 
   void execute_node(int /*line*/, const LetStmt& stmt) {
-    variables_[stmt.name] = evaluate(*stmt.expr);
+    Value scratch;
+    const Value& value = evaluate(*stmt.expr, scratch);
+    variables_[stmt.name] = value;
   }
 
   void execute_node(int line, const RequireStmt& stmt) {
-    if (!truthy(evaluate(*stmt.condition))) {
-      fail(line, "require condition failed");
-    }
+    if (!test(*stmt.condition)) fail(line, "require condition failed");
   }
 
   void execute_node(int /*line*/, const IfStmt& stmt) {
-    if (truthy(evaluate(*stmt.condition))) {
-      run(stmt.then_body);
-    } else {
-      run(stmt.else_body);
-    }
+    run(test(*stmt.condition) ? stmt.then_body : stmt.else_body);
   }
 
-  Value evaluate(const Expr& expr) {
+  /// The value of `expr`: a literal or variable in place, anything else
+  /// computed into `scratch`. Valid until the next let or scratch reuse.
+  const Value& evaluate(const Expr& expr, Value& scratch) {
     return std::visit(
-        [&](const auto& node) { return evaluate_node(expr.line, node); },
+        [&](const auto& node) -> const Value& {
+          return evaluate_node(expr.line, node, scratch);
+        },
         expr.node);
   }
 
-  Value evaluate_node(int /*line*/, const LiteralExpr& node) { return node.value; }
-
-  Value evaluate_node(int line, const VarExpr& node) {
-    const auto it = variables_.find(node.name);
-    if (it == variables_.end()) {
-      fail(line, strf("undefined variable '", node.name, "'"));
-    }
-    return it->second;
+  bool test(const Expr& expr) {
+    Value scratch;
+    return truthy(evaluate(expr, scratch));
   }
 
-  Value evaluate_node(int line, const CallExpr& node) {
-    comp::Composite& composite = session_.composite();
-    const auto str_arg = [&](std::size_t i) -> std::string {
+  const Value& evaluate_node(int /*line*/, const LiteralExpr& node, Value&) {
+    return node.value;
+  }
+
+  const Value& evaluate_node(int line, const VarExpr& node, Value&) {
+    if (const auto it = variables_.find(node.name); it != variables_.end()) {
+      return it->second;
+    }
+    if (bindings_ != nullptr) {
+      if (const auto it = bindings_->find(node.name); it != bindings_->end()) {
+        return it->second;
+      }
+    }
+    fail(line, strf("undefined variable '", node.name, "'"));
+  }
+
+  const Value& evaluate_node(int line, const CallExpr& node, Value& scratch) {
+    const comp::Composite& composite = session_.composite();
+    Value operands[2];
+    const auto str_arg = [&](std::size_t i) -> const std::string& {
       if (i >= node.args.size()) {
         fail(line, strf(node.function, ": missing argument ", i + 1));
       }
-      const Value v = evaluate(*node.args[i]);
+      const Value& v = evaluate(*node.args[i], operands[i]);
       if (!v.is_string()) {
         fail(line, strf(node.function, ": argument ", i + 1, " must be a string"));
       }
       return v.as_string();
     };
 
-    if (node.function == "exists") {
-      return Value(composite.has(str_arg(0)));
-    }
-    if (node.function == "started") {
-      const auto name = str_arg(0);
-      return Value(composite.has(name) && composite.child(name).started());
-    }
-    if (node.function == "wired") {
-      return Value(composite.is_wired(str_arg(0), str_arg(1)));
-    }
-    if (node.function == "property") {
-      return composite.property(str_arg(0), str_arg(1));
-    }
-    if (node.function == "typeof") {
-      const auto name = str_arg(0);
-      if (!composite.has(name)) return Value{};
-      return Value(composite.child(name).type_name());
+    switch (node.builtin) {
+      case Builtin::kExists:
+        return scratch = Value(composite.has(str_arg(0)));
+      case Builtin::kStarted: {
+        const std::string& name = str_arg(0);
+        return scratch = Value(composite.has(name) && composite.child(name).started());
+      }
+      case Builtin::kWired: {
+        const std::string& reference = str_arg(1);
+        return scratch = Value(composite.is_wired(str_arg(0), reference));
+      }
+      case Builtin::kProperty: {
+        const std::string& key = str_arg(1);
+        return scratch = composite.property(str_arg(0), key);
+      }
+      case Builtin::kTypeof: {
+        const std::string& name = str_arg(0);
+        if (!composite.has(name)) return scratch = Value{};
+        return scratch = Value(composite.child(name).type_name());
+      }
+      case Builtin::kUnknown:
+        break;
     }
     fail(line, strf("unknown function '", node.function, "'"));
   }
 
-  Value evaluate_node(int /*line*/, const NotExpr& node) {
-    return Value(!truthy(evaluate(*node.operand)));
+  const Value& evaluate_node(int /*line*/, const NotExpr& node, Value& scratch) {
+    return scratch = Value(!test(*node.operand));
   }
 
-  Value evaluate_node(int /*line*/, const BinaryExpr& node) {
+  const Value& evaluate_node(int /*line*/, const BinaryExpr& node, Value& scratch) {
     switch (node.op) {
       case BinaryExpr::Op::kEq:
-        return Value(evaluate(*node.lhs) == evaluate(*node.rhs));
-      case BinaryExpr::Op::kNeq:
-        return Value(evaluate(*node.lhs) != evaluate(*node.rhs));
+      case BinaryExpr::Op::kNeq: {
+        Value operands[2];
+        const Value& rhs = evaluate(*node.rhs, operands[1]);
+        const bool equal = evaluate(*node.lhs, operands[0]) == rhs;
+        return scratch = Value(node.op == BinaryExpr::Op::kEq ? equal : !equal);
+      }
       case BinaryExpr::Op::kAnd:
         // Short-circuit.
-        if (!truthy(evaluate(*node.lhs))) return Value(false);
-        return Value(truthy(evaluate(*node.rhs)));
+        return scratch = Value(test(*node.lhs) && test(*node.rhs));
       case BinaryExpr::Op::kOr:
-        if (truthy(evaluate(*node.lhs))) return Value(true);
-        return Value(truthy(evaluate(*node.rhs)));
+        return scratch = Value(test(*node.lhs) || test(*node.rhs));
     }
     throw LogicError("unreachable binary op");
   }
@@ -185,14 +223,16 @@ class Execution {
   }
 
   ReconfigSession& session_;
-  std::map<std::string, Value> variables_;
+  const ValueMap* bindings_{nullptr};
+  // Let-bound variables; they shadow bindings of the same name.
+  std::map<std::string, Value, std::less<>> variables_;
 };
 
 }  // namespace
 
 ExecutionStats Interpreter::run(const Script& script, comp::Composite& composite,
                                 const Value& bindings) {
-  ReconfigSession session(composite);
+  ReconfigSession session(composite, script.statements.size());
   try {
     Execution execution(session, bindings);
     execution.run(script.statements);
@@ -210,7 +250,10 @@ ExecutionStats Interpreter::run(const Script& script, comp::Composite& composite
   }
   ExecutionStats stats;
   stats.ops = session.op_count();
-  stats.by_verb = session.ops_by_verb();
+  const auto& by_verb = session.ops_by_verb();
+  for (std::size_t i = 0; i < by_verb.size(); ++i) {
+    if (by_verb[i] > 0) stats.by_verb.emplace(to_string(static_cast<Verb>(i)), by_verb[i]);
+  }
   return stats;
 }
 

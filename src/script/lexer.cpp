@@ -32,6 +32,25 @@ const char* to_string(TokenKind kind) {
   return "?";
 }
 
+std::string Token::string_value() const {
+  if (!escaped) return std::string(text);
+  // The lexer has checked every escape.
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '\\') {
+      out += text[i];
+      continue;
+    }
+    switch (text[++i]) {
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      default: out += text[i]; break;  // '"' or '\\'
+    }
+  }
+  return out;
+}
+
 namespace {
 [[noreturn]] void fail(int line, const std::string& message) {
   throw ScriptException(strf("parse error (line ", line, "): ", message));
@@ -44,32 +63,29 @@ bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
 }
 
-bool is_keyword(const std::string& word) {
+bool is_keyword(std::string_view word) {
   return word == "let" || word == "require" || word == "if" || word == "else" ||
          word == "true" || word == "false" || word == "null" ||
          word == "script";
 }
 }  // namespace
 
-std::vector<Token> tokenize(std::string_view source) {
-  std::vector<Token> tokens;
-  // Generated scripts average one token per ~5.2 bytes. Reserving one per
-  // kTokenBytes covers them, so the vector never regrows (moving every
-  // token) while it fills.
-  constexpr std::size_t kTokenBytes = 4;
-  tokens.reserve(source.size() / kTokenBytes + 1);
-  int line = 1;
-  std::size_t i = 0;
+Token Lexer::next() {
+  const std::string_view source = source_;
   const std::size_t n = source.size();
-
-  auto push = [&](TokenKind kind, std::string text = {}, Value literal = {}) {
-    tokens.push_back(Token{kind, std::move(text), std::move(literal), line});
+  std::size_t& i = pos_;
+  Token token;
+  const auto punct = [&](TokenKind kind, std::size_t length) {
+    token.kind = kind;
+    token.line = line_;
+    i += length;
+    return token;
   };
 
   while (i < n) {
     const char c = source[i];
     if (c == '\n') {
-      ++line;
+      ++line_;
       ++i;
       continue;
     }
@@ -81,118 +97,100 @@ std::vector<Token> tokenize(std::string_view source) {
       while (i < n && source[i] != '\n') ++i;
       continue;
     }
+    token.line = line_;
     if (is_ident_start(c)) {
-      std::size_t start = i;
+      const std::size_t start = i;
       while (i < n && is_ident_char(source[i])) ++i;
-      std::string word(source.substr(start, i - start));
-      const TokenKind kind =
-          is_keyword(word) ? TokenKind::kKeyword : TokenKind::kIdent;
-      push(kind, std::move(word));
-      continue;
+      token.text = source.substr(start, i - start);
+      token.kind = is_keyword(token.text) ? TokenKind::kKeyword : TokenKind::kIdent;
+      return token;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '-' && i + 1 < n &&
          std::isdigit(static_cast<unsigned char>(source[i + 1])))) {
-      std::size_t start = i;
+      const std::size_t start = i;
       if (c == '-') ++i;
       bool is_float = false;
       while (i < n && (std::isdigit(static_cast<unsigned char>(source[i])) ||
                        source[i] == '.')) {
         if (source[i] == '.') {
-          if (is_float) fail(line, "malformed number");
+          if (is_float) fail(line_, "malformed number");
           is_float = true;
         }
         ++i;
       }
-      std::string text(source.substr(start, i - start));
-      Value literal;
+      token.text = source.substr(start, i - start);
+      const std::string spelling(token.text);
       try {
-        literal = is_float ? Value(std::stod(text))
-                           : Value(std::int64_t{std::stoll(text)});
+        if (is_float) {
+          token.kind = TokenKind::kFloat;
+          token.float_value = std::stod(spelling);
+        } else {
+          token.kind = TokenKind::kInt;
+          token.int_value = std::stoll(spelling);
+        }
       } catch (const std::out_of_range&) {
-        fail(line, strf("number out of range '", text, "'"));
+        fail(line_, strf("number out of range '", spelling, "'"));
       }
-      push(is_float ? TokenKind::kFloat : TokenKind::kInt, std::move(text),
-           std::move(literal));
-      continue;
+      return token;
     }
     if (c == '"') {
-      ++i;
-      std::string text;
-      bool closed = false;
-      while (i < n) {
+      const std::size_t start = ++i;
+      while (true) {
+        if (i >= n) fail(line_, "unterminated string literal");
         const char d = source[i];
-        if (d == '"') {
-          closed = true;
-          ++i;
-          break;
-        }
-        if (d == '\n') fail(line, "unterminated string literal");
+        if (d == '"') break;
+        if (d == '\n') fail(line_, "unterminated string literal");
         if (d == '\\') {
-          if (i + 1 >= n) fail(line, "dangling escape");
+          if (i + 1 >= n) fail(line_, "dangling escape");
           const char e = source[i + 1];
-          switch (e) {
-            case 'n': text += '\n'; break;
-            case 't': text += '\t'; break;
-            case '"': text += '"'; break;
-            case '\\': text += '\\'; break;
-            default: fail(line, strf("unknown escape '\\", e, "'"));
+          if (e != 'n' && e != 't' && e != '"' && e != '\\') {
+            fail(line_, strf("unknown escape '\\", e, "'"));
           }
+          token.escaped = true;
           i += 2;
           continue;
         }
-        text += d;
         ++i;
       }
-      if (!closed) fail(line, "unterminated string literal");
-      Value literal(text);
-      push(TokenKind::kString, std::move(text), std::move(literal));
-      continue;
+      token.kind = TokenKind::kString;
+      token.text = source.substr(start, i - start);
+      ++i;  // closing quote
+      return token;
     }
+    const bool pair = i + 1 < n;
     switch (c) {
-      case '(': push(TokenKind::kLParen); ++i; continue;
-      case ')': push(TokenKind::kRParen); ++i; continue;
-      case '{': push(TokenKind::kLBrace); ++i; continue;
-      case '}': push(TokenKind::kRBrace); ++i; continue;
-      case ',': push(TokenKind::kComma); ++i; continue;
-      case ';': push(TokenKind::kSemicolon); ++i; continue;
+      case '(': return punct(TokenKind::kLParen, 1);
+      case ')': return punct(TokenKind::kRParen, 1);
+      case '{': return punct(TokenKind::kLBrace, 1);
+      case '}': return punct(TokenKind::kRBrace, 1);
+      case ',': return punct(TokenKind::kComma, 1);
+      case ';': return punct(TokenKind::kSemicolon, 1);
       case '=':
-        if (i + 1 < n && source[i + 1] == '=') {
-          push(TokenKind::kEq);
-          i += 2;
-        } else {
-          push(TokenKind::kAssign);
-          ++i;
-        }
-        continue;
+        if (pair && source[i + 1] == '=') return punct(TokenKind::kEq, 2);
+        return punct(TokenKind::kAssign, 1);
       case '!':
-        if (i + 1 < n && source[i + 1] == '=') {
-          push(TokenKind::kNeq);
-          i += 2;
-        } else {
-          push(TokenKind::kNot);
-          ++i;
-        }
-        continue;
+        if (pair && source[i + 1] == '=') return punct(TokenKind::kNeq, 2);
+        return punct(TokenKind::kNot, 1);
       case '&':
-        if (i + 1 < n && source[i + 1] == '&') {
-          push(TokenKind::kAnd);
-          i += 2;
-          continue;
-        }
-        fail(line, "expected '&&'");
+        if (pair && source[i + 1] == '&') return punct(TokenKind::kAnd, 2);
+        fail(line_, "expected '&&'");
       case '|':
-        if (i + 1 < n && source[i + 1] == '|') {
-          push(TokenKind::kOr);
-          i += 2;
-          continue;
-        }
-        fail(line, "expected '||'");
+        if (pair && source[i + 1] == '|') return punct(TokenKind::kOr, 2);
+        fail(line_, "expected '||'");
       default:
-        fail(line, strf("unexpected character '", c, "'"));
+        fail(line_, strf("unexpected character '", c, "'"));
     }
   }
-  push(TokenKind::kEnd);
+  return punct(TokenKind::kEnd, 0);
+}
+
+std::vector<Token> tokenize(std::string_view source) {
+  Lexer lexer(source);
+  std::vector<Token> tokens;
+  do {
+    tokens.push_back(lexer.next());
+  } while (tokens.back().kind != TokenKind::kEnd);
   return tokens;
 }
 

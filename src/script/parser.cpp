@@ -7,17 +7,43 @@
 namespace rcs::script {
 
 namespace {
+constexpr std::string_view kVerbNames[] = {"add",  "remove", "start", "stop",
+                                           "wire", "unwire", "set",   "log"};
+constexpr std::string_view kBuiltinNames[] = {"exists", "started", "wired",
+                                              "property", "typeof"};
+}  // namespace
 
-/// Recursive-descent parser over the token stream.
+Verb verb_named(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kVerbNames); ++i) {
+    if (kVerbNames[i] == name) return static_cast<Verb>(i);
+  }
+  return Verb::kUnknown;
+}
+
+const char* to_string(Verb verb) {
+  const auto i = static_cast<std::size_t>(verb);
+  return i < std::size(kVerbNames) ? kVerbNames[i].data() : "?";
+}
+
+Builtin builtin_named(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kBuiltinNames); ++i) {
+    if (kBuiltinNames[i] == name) return static_cast<Builtin>(i);
+  }
+  return Builtin::kUnknown;
+}
+
+namespace {
+
+/// Recursive-descent parser pulling one token of lookahead from the lexer.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view source) : lexer_(source), token_(lexer_.next()) {}
 
   Script parse_script() {
     Script script;
-    if (peek().kind == TokenKind::kKeyword && peek().text == "script") {
+    if (at_keyword("script")) {
       advance();
-      script.name = std::move(expect(TokenKind::kIdent, "script name").text);
+      script.name = expect(TokenKind::kIdent, "script name").text;
       expect(TokenKind::kLBrace, "'{' after script name");
       script.statements = parse_statements_until(TokenKind::kRBrace);
       expect(TokenKind::kRBrace, "'}' closing script body");
@@ -47,24 +73,35 @@ class Parser {
     Parser& parser_;
   };
 
-  [[noreturn]] void fail(const std::string& message) const {
-    throw ScriptException(strf("parse error (line ", peek().line, "): ",
-                               message, ", got ", to_string(peek().kind),
-                               peek().text.empty() ? "" : strf(" '", peek().text, "'")));
+  /// A malformed token anywhere in the source outranks a grammar error, so
+  /// the rest of the source is lexed first: that throws the first lexical
+  /// error, if there is one.
+  [[noreturn]] void fail(const std::string& message) {
+    while (lexer_.next().kind != TokenKind::kEnd) {
+    }
+    const Token& got = peek();
+    const std::string text =
+        got.kind == TokenKind::kString ? got.string_value() : std::string(got.text);
+    throw ScriptException(strf("parse error (line ", got.line, "): ", message,
+                               ", got ", to_string(got.kind),
+                               text.empty() ? "" : strf(" '", text, "'")));
   }
 
-  const Token& peek() const { return tokens_[pos_]; }
-  /// Consume the current token. fail() only ever reads the current token, so
-  /// callers may move text and literals out of a consumed one.
-  Token& advance() { return tokens_[pos_++]; }
+  const Token& peek() const { return token_; }
+  /// Consume the current token and return it.
+  Token advance() {
+    Token consumed = token_;
+    token_ = lexer_.next();
+    return consumed;
+  }
 
   bool match(TokenKind kind) {
     if (peek().kind != kind) return false;
-    ++pos_;
+    advance();
     return true;
   }
 
-  Token& expect(TokenKind kind, const char* what) {
+  Token expect(TokenKind kind, const char* what) {
     if (peek().kind != kind) fail(strf("expected ", what));
     return advance();
   }
@@ -93,7 +130,7 @@ class Parser {
     if (at_keyword("if")) return parse_if();
     if (at_keyword("let")) {
       advance();
-      auto name = std::move(expect(TokenKind::kIdent, "variable name").text);
+      std::string name(expect(TokenKind::kIdent, "variable name").text);
       expect(TokenKind::kAssign, "'=' in let binding");
       auto expr = parse_expr();
       expect(TokenKind::kSemicolon, "';' after let binding");
@@ -113,7 +150,7 @@ class Parser {
     }
     // Verb statement: ident(args); The messages naming the verb are built
     // only when the check fails: this runs on every statement.
-    auto verb = std::move(expect(TokenKind::kIdent, "statement").text);
+    const std::string_view verb = expect(TokenKind::kIdent, "statement").text;
     if (!match(TokenKind::kLParen)) {
       fail(strf("expected '(' after verb '", verb, "'"));
     }
@@ -124,7 +161,7 @@ class Parser {
     }
     auto stmt = std::make_unique<Stmt>();
     stmt->line = line;
-    stmt->node = VerbStmt{std::move(verb), std::move(args)};
+    stmt->node = VerbStmt{verb_named(verb), std::string(verb), std::move(args)};
     return stmt;
   }
 
@@ -213,9 +250,13 @@ class Parser {
     expr->line = token.line;
     switch (token.kind) {
       case TokenKind::kString:
+        expr->node = LiteralExpr{Value(advance().string_value())};
+        return expr;
       case TokenKind::kInt:
+        expr->node = LiteralExpr{Value(advance().int_value)};
+        return expr;
       case TokenKind::kFloat:
-        expr->node = LiteralExpr{std::move(advance().literal)};
+        expr->node = LiteralExpr{Value(advance().float_value)};
         return expr;
       case TokenKind::kKeyword:
         if (token.text == "true") {
@@ -235,13 +276,14 @@ class Parser {
         }
         fail("unexpected keyword in expression");
       case TokenKind::kIdent: {
-        std::string name = std::move(advance().text);
+        const std::string_view name = advance().text;
         if (match(TokenKind::kLParen)) {
           auto args = parse_args();
           expect(TokenKind::kRParen, "')' closing call");
-          expr->node = CallExpr{std::move(name), std::move(args)};
+          expr->node =
+              CallExpr{builtin_named(name), std::string(name), std::move(args)};
         } else {
-          expr->node = VarExpr{std::move(name)};
+          expr->node = VarExpr{std::string(name)};
         }
         return expr;
       }
@@ -263,15 +305,15 @@ class Parser {
     return expr;
   }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_{0};
+  Lexer lexer_;
+  Token token_;  // the lookahead
   int depth_{0};
 };
 
 }  // namespace
 
 Script parse(std::string_view source) {
-  return Parser(tokenize(source)).parse_script();
+  return Parser(source).parse_script();
 }
 
 }  // namespace rcs::script

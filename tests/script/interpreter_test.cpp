@@ -21,6 +21,7 @@ struct InterpreterFixture : ::testing::Test {
     std::vector<std::string> children;
     std::vector<comp::WireInfo> wires;
     std::vector<std::pair<std::string, comp::LifecycleState>> states;
+    std::vector<Value> properties;
 
     bool operator==(const Snapshot&) const = default;
   };
@@ -31,6 +32,7 @@ struct InterpreterFixture : ::testing::Test {
     s.wires = root.wires();
     for (const auto& name : s.children) {
       s.states.emplace_back(name, root.child(name).state());
+      s.properties.push_back(root.child(name).properties());
     }
     return s;
   }
@@ -183,6 +185,19 @@ TEST_F(InterpreterFixture, RollbackRestoresPropertiesOfRemovedComponents) {
                ScriptException);
   ASSERT_TRUE(root.has("spy"));
   EXPECT_EQ(root.property("spy", "mode").as_string(), "customized");
+}
+
+TEST_F(InterpreterFixture, RollbackErasesAPropertyKeyTheSetAdded) {
+  root.add("test.spy", "spy");
+  const auto before = snapshot();
+  EXPECT_THROW(Interpreter::run_source(R"(
+    set("spy", "newkey", 7);
+    require false;
+  )",
+                                       root),
+               ScriptException);
+  EXPECT_FALSE(root.child("spy").properties().has("newkey"));
+  EXPECT_EQ(snapshot(), before);
 }
 
 TEST_F(InterpreterFixture, RollbackRestoresUnwiredConnections) {

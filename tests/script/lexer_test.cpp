@@ -32,20 +32,20 @@ TEST(Lexer, DottedIdentifiers) {
 
 TEST(Lexer, StringLiteralsWithEscapes) {
   const auto tokens = tokenize(R"("hello" "a\"b" "tab\there" "back\\slash")");
-  EXPECT_EQ(tokens[0].literal.as_string(), "hello");
-  EXPECT_EQ(tokens[1].literal.as_string(), "a\"b");
-  EXPECT_EQ(tokens[2].literal.as_string(), "tab\there");
-  EXPECT_EQ(tokens[3].literal.as_string(), "back\\slash");
+  EXPECT_EQ(tokens[0].string_value(), "hello");
+  EXPECT_EQ(tokens[1].string_value(), "a\"b");
+  EXPECT_EQ(tokens[2].string_value(), "tab\there");
+  EXPECT_EQ(tokens[3].string_value(), "back\\slash");
 }
 
 TEST(Lexer, Numbers) {
   const auto tokens = tokenize("42 -7 3.5 -0.25");
   EXPECT_EQ(tokens[0].kind, TokenKind::kInt);
-  EXPECT_EQ(tokens[0].literal.as_int(), 42);
-  EXPECT_EQ(tokens[1].literal.as_int(), -7);
+  EXPECT_EQ(tokens[0].int_value, 42);
+  EXPECT_EQ(tokens[1].int_value, -7);
   EXPECT_EQ(tokens[2].kind, TokenKind::kFloat);
-  EXPECT_DOUBLE_EQ(tokens[2].literal.as_double(), 3.5);
-  EXPECT_DOUBLE_EQ(tokens[3].literal.as_double(), -0.25);
+  EXPECT_DOUBLE_EQ(tokens[2].float_value, 3.5);
+  EXPECT_DOUBLE_EQ(tokens[3].float_value, -0.25);
 }
 
 TEST(Lexer, OperatorsAndPunctuation) {

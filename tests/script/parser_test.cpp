@@ -18,8 +18,8 @@ TEST(Parser, BareStatementList) {
   )");
   EXPECT_TRUE(script.name.empty());
   ASSERT_EQ(script.statements.size(), 2u);
-  EXPECT_EQ(as_verb(script.statements[0]).verb, "stop");
-  EXPECT_EQ(as_verb(script.statements[1]).verb, "remove");
+  EXPECT_EQ(as_verb(script.statements[0]).verb, Verb::kStop);
+  EXPECT_EQ(as_verb(script.statements[1]).verb, Verb::kRemove);
 }
 
 TEST(Parser, NamedScriptHeader) {
