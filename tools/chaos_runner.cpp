@@ -177,6 +177,10 @@ void check_ftms(const std::string& csv) {
   for (const auto& name : split_csv(csv)) check_ftm(name);
 }
 
+/// Flag modes: --replay, and every other mode.
+constexpr unsigned kReplayMode = 1;
+constexpr unsigned kOtherModes = 2;
+
 /// Parse argv into `args`; returns the exit status when the tool must stop.
 std::optional<int> parse_args(int argc, char** argv, Args& args) {
   std::string ftm_csv = "PBR,LFR,TR";
@@ -189,8 +193,11 @@ std::optional<int> parse_args(int argc, char** argv, Args& args) {
       .choice("--delta", {"on", "off", "both"}, args.delta)
       .number("--replay", 0, UINT64_MAX, args.replay_seed)
       .text("--transition-to", args.transition_to, check_ftm)
+      .only(kReplayMode)
       .text("--trace-out", args.trace_out)
+      .only(kReplayMode)
       .text("--metrics-out", args.metrics_out)
+      .only(kReplayMode)
       .text("--fsim", args.fsim_glob)
       .text("--coverage-out", args.coverage_out)
       .toggle("--list-points", args.list_points)
@@ -201,6 +208,11 @@ std::optional<int> parse_args(int argc, char** argv, Args& args) {
   if (const auto stop = flags.parse(argc, argv)) return stop;
   args.ftms = split_csv(ftm_csv);
   args.has_replay = flags.given("--replay");
+  if (!args.has_replay) {
+    if (const auto stop = flags.check_mode(kOtherModes, "without --replay")) {
+      return stop;
+    }
+  }
   if (args.has_replay && args.delta == "both" && flags.given("--delta")) {
     return flags.fail(
         "bad --delta value: 'both' (expected on|off with --replay)");

@@ -5,7 +5,9 @@
 // value, a value its entry rejects or an unknown argument prints one line to
 // stderr ("missing --X value", "bad --X value: ...", "unknown argument: ...")
 // and then the usage text, and the tool exits 2, so a typo can never
-// silently turn into a different (or empty) run. --help / -h prints the
+// silently turn into a different (or empty) run. A tool with several modes
+// marks each flag with the modes that read it, and a flag given in a mode
+// that does not read it is rejected the same way. --help / -h prints the
 // usage text and exits 0.
 //
 // parse_flag, behind the numeric entries, accepts a value only if the whole
@@ -139,6 +141,25 @@ class Flags {
     });
   }
 
+  /// Restrict the flag added last to the modes set in `modes`, a bit mask
+  /// the tool defines. A flag belongs to every mode until restricted.
+  Flags& only(unsigned modes) {
+    entries_.back().modes = modes;
+    return *this;
+  }
+
+  /// After parse, reject a given flag that `mode` does not read, so it
+  /// cannot be silently ignored: print "bad --X value: not read <where>"
+  /// and the usage text, and return the exit status, 2.
+  std::optional<int> check_mode(unsigned mode, const char* where) const {
+    for (const auto& entry : entries_) {
+      if (entry.given && (entry.modes & mode) == 0) {
+        return fail("bad " + entry.name + " value: not read " + where);
+      }
+    }
+    return std::nullopt;
+  }
+
   /// Walk argv. Returns the tool's exit status when it must stop now (0
   /// after --help, 2 after an error, usage printed either way), nullopt
   /// when it should run.
@@ -187,6 +208,7 @@ class Flags {
     /// print the diagnostic and return false.
     std::function<bool(const char*)> take;
     bool given{false};
+    unsigned modes{~0u};
   };
 
   Flags& add(const char* name, bool takes_value,

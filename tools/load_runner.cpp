@@ -69,6 +69,10 @@ constexpr const char* kUsage =
     "                   [--rps R] [--bandwidth BPS]\n"
     "                   [--trace-out FILE] [--metrics-out FILE]";
 
+/// Flag modes: the rate sweep and --scenario adapt.
+constexpr unsigned kSweepMode = 1;
+constexpr unsigned kScenarioMode = 2;
+
 /// Parse argv into `args`; returns the exit status when the tool must stop.
 std::optional<int> parse_args(int argc, char** argv, Args& args) {
   auto& sweep = args.sweep;
@@ -79,25 +83,43 @@ std::optional<int> parse_args(int argc, char** argv, Args& args) {
             [](const std::string& name) {
               (void)rcs::ftm::FtmConfig::by_name(name);
             })
+      .only(kSweepMode)
       .choice("--delta", {"on", "off"}, args.delta)
+      .only(kSweepMode)
       .text("--arrival", sweep.arrival,
             [](const std::string& kind) {
               (void)rcs::load::make_process(kind, 1.0);
             })
+      .only(kSweepMode)
       .number("--clients", 1, 100'000, sweep.clients)
       .number("--steps", 1, 10'000, sweep.steps)
+      .only(kSweepMode)
       .number("--rps-from", kMinRate, kMaxRate, sweep.rps_from)
+      .only(kSweepMode)
       .number("--rps-to", kMinRate, kMaxRate, sweep.rps_to)
+      .only(kSweepMode)
       .number("--rps", kMinRate, kMaxRate, args.adapt.offered_rps)
+      .only(kScenarioMode)
       .number("--warmup", 0.0, kMaxSeconds, args.warmup_s)
+      .only(kSweepMode)
       .number("--window", 1e-3, kMaxSeconds, args.window_s)
+      .only(kSweepMode)
       .number("--bandwidth", 1.0, 1e12, sweep.replica_bandwidth_bps)
       .number("--cpu-speed", 1e-3, 1e3, sweep.cpu_speed)
+      .only(kSweepMode)
       .text("--out", args.out)
+      .only(kSweepMode)
       .text("--trace-out", args.trace_out)
+      .only(kScenarioMode)
       .text("--metrics-out", args.metrics_out)
+      .only(kScenarioMode)
       .toggle("--verbose", args.verbose);
   if (const auto stop = flags.parse(argc, argv)) return stop;
+  if (const auto stop = args.scenario.empty()
+                            ? flags.check_mode(kSweepMode, "without --scenario")
+                            : flags.check_mode(kScenarioMode, "by --scenario adapt")) {
+    return stop;
+  }
   if (sweep.rps_to < sweep.rps_from) {
     char message[96];
     std::snprintf(message, sizeof message,
